@@ -22,10 +22,11 @@
 //! The measurements (wall time, conflicts, learnt-clause high-water mark,
 //! encodings cached, `RewriteStats`, AIG counters, CNF sizes) are written as
 //! JSON, and when `--baseline <path>` is given the run **fails** with exit
-//! code 1 if any mode's wall time regressed more than [`REGRESSION_FACTOR`]×
-//! or its CNF clause count more than [`CLAUSE_REGRESSION_FACTOR`]× against
-//! the baseline (the clause count is deterministic on identical code, so
-//! its tight gate catches encoding regressions without runner-speed noise).
+//! code 1 if any mode's wall time regressed more than [`REGRESSION_FACTOR`]×,
+//! its CNF clause count more than [`CLAUSE_REGRESSION_FACTOR`]×, or any of
+//! its [`SEARCH_COUNTERS`] differs at all from the baseline (clause counts
+//! and search counters are deterministic on identical code, so their tight
+//! gates catch encoding and search changes without runner-speed noise).
 //!
 //! A sixth, **parallel** arm runs a batch of identical copies of the
 //! `incremental` sweep on the work-stealing detection engine
@@ -91,6 +92,17 @@ const REGRESSION_FACTOR: f64 = 1.5;
 /// encoding regression — intentional encoding changes refresh the baseline,
 /// as its `note` describes).
 const CLAUSE_REGRESSION_FACTOR: f64 = 1.05;
+
+/// Search counters of the single-worker modes that must equal the baseline
+/// exactly.  The CDCL search is deterministic, so any difference means the
+/// solver made different decisions; a change that alters the search on
+/// purpose refreshes the baseline, as its `note` describes.
+const SEARCH_COUNTERS: [&str; 4] = [
+    "conflicts",
+    "learnt_deleted",
+    "learnt_high_water",
+    "learnt_retained",
+];
 
 /// Minimum batched-throughput ratio (per-job total CNF clauses over the
 /// batched shared encoding's clauses, for the same catalogue).  Both counts
@@ -834,6 +846,29 @@ fn main() {
                 }
                 _ => println!("  {:<24} no baseline cnf_clauses entry, skipping", m.mode),
             }
+            let measured = [
+                m.conflicts,
+                m.learnt_deleted,
+                m.learnt_high_water,
+                m.learnt_retained,
+            ];
+            for (field, value) in SEARCH_COUNTERS.into_iter().zip(measured) {
+                match baseline_field(&baseline, &m.mode, field) {
+                    Some(expected) => {
+                        let verdict = if value as f64 == expected {
+                            "ok"
+                        } else {
+                            regressed = true;
+                            "CHANGED"
+                        };
+                        println!(
+                            "  {:<24} {field} {value} vs baseline {expected:.0} {verdict}",
+                            m.mode
+                        );
+                    }
+                    None => println!("  {:<24} no baseline {field} entry, skipping", m.mode),
+                }
+            }
         }
         // Batched arm: the shared encoding's clause count gets the tight
         // deterministic gate, and the throughput ratio must hold whatever
@@ -876,8 +911,9 @@ fn main() {
         }
         if regressed {
             eprintln!(
-                "bench-smoke: wall time (>{REGRESSION_FACTOR}x) or CNF clause count \
-                 (>{CLAUSE_REGRESSION_FACTOR}x) regressed against {path}"
+                "bench-smoke: wall time (>{REGRESSION_FACTOR}x), CNF clause count \
+                 (>{CLAUSE_REGRESSION_FACTOR}x) or a search counter (any change) \
+                 regressed against {path}"
             );
             std::process::exit(1);
         }

@@ -72,12 +72,7 @@ pub fn run_with(
     let detection = d.check(Method::Sqed, Some(bug));
     let wall = start.elapsed();
     assert!(!detection.detected, "SQED must miss the Table-1 bug");
-    let mut solver = detection.solver;
-    // The scratch modes build fresh solvers per query and report (almost)
-    // all-zero reuse stats; fold the model checker's conflict total in so
-    // every mode carries its conflict count in the same place.
-    solver.conflicts = detection.conflicts;
-    (wall, solver)
+    (wall, detection.solver)
 }
 
 /// A batch of `copies` independent copies of the sweep (the default

@@ -146,19 +146,18 @@ enum Decision {
     FailedAssumption(Lit),
 }
 
-#[derive(Debug, Clone)]
-struct ClauseData {
-    lits: Vec<Lit>,
-    learnt: bool,
-    lbd: u32,
-    activity: f64,
-}
+/// Words of a clause header in the arena: literal count, learnt bit + LBD,
+/// and the two halves of the `f64` activity.  The literals follow inline.
+const HEADER_WORDS: usize = 4;
+
+/// Header word 1: set for learnt clauses; the low bits hold the LBD.
+const LEARNT_BIT: u32 = 1 << 31;
 
 /// Counters of the learnt-clause database reduction.
 ///
 /// Long-lived incremental solvers accumulate learnt clauses across calls;
 /// the periodic [`reduce_db`](SatSolver) passes delete the cold half of them
-/// and compact the clause arena so the memory is actually returned.  These
+/// and compact the clause arena in place, so the space is reused.  These
 /// counters quantify that: how often reduction ran, how much it deleted, and
 /// the high-water mark of live learnt clauses (the bound on what an
 /// unreduced solver would have retained is `clauses_deleted +` the current
@@ -169,7 +168,8 @@ pub struct ReduceStats {
     pub reductions: u64,
     /// Learnt clauses deleted over all passes.
     pub clauses_deleted: u64,
-    /// Literal slots returned to memory by arena compaction.
+    /// Literals of the deleted clauses, reclaimed by in-place arena
+    /// compaction (each deleted clause also frees its header words).
     pub literals_freed: u64,
     /// Most live learnt clauses ever resident at once.
     pub learnt_high_water: u64,
@@ -282,7 +282,11 @@ impl VarOrder {
 /// [`SolveOutcome::Sat`] read variable values with [`SatSolver::value_of`].
 #[derive(Debug, Clone)]
 pub struct SatSolver {
-    clauses: Vec<ClauseData>,
+    /// Every stored clause, back to back: a [`HEADER_WORDS`] header, then
+    /// the literals inline.  A clause reference is the offset of its header.
+    arena: Vec<u32>,
+    /// Stored clauses (original + learnt); each owns two watcher entries.
+    num_clauses: usize,
     watches: Vec<Vec<u32>>,
     assign: Vec<i8>,
     level: Vec<u32>,
@@ -296,6 +300,12 @@ pub struct SatSolver {
     order: VarOrder,
     phase: Vec<bool>,
     seen: Vec<bool>,
+    /// Conflict-analysis buffer, reused across conflicts.
+    learnt: Vec<Lit>,
+    /// Per-decision-level stamps for counting a clause's distinct levels.
+    level_stamp: Vec<u64>,
+    /// Stamp of the latest LBD computation.
+    lbd_stamp: u64,
     ok: bool,
     num_vars: u32,
     conflicts: u64,
@@ -336,9 +346,6 @@ pub struct SatSolver {
     /// the sampled check point yields [`SolveOutcome::Unknown`] with
     /// [`StopReason::MemoryBudget`].
     memory_limit: Option<usize>,
-    /// Live literal slots in the clause arena, maintained incrementally so
-    /// [`memory_estimate`](Self::memory_estimate) never scans the arena.
-    lit_slots: usize,
     /// High-water mark of the memory estimate (sampled alongside the
     /// deadline poll).
     mem_high_water: usize,
@@ -359,7 +366,8 @@ impl SatSolver {
     /// Creates an empty solver.
     pub fn new() -> Self {
         SatSolver {
-            clauses: Vec::new(),
+            arena: Vec::new(),
+            num_clauses: 0,
             watches: Vec::new(),
             assign: Vec::new(),
             level: Vec::new(),
@@ -373,6 +381,9 @@ impl SatSolver {
             order: VarOrder::default(),
             phase: Vec::new(),
             seen: Vec::new(),
+            learnt: Vec::new(),
+            level_stamp: Vec::new(),
+            lbd_stamp: 0,
             ok: true,
             num_vars: 0,
             conflicts: 0,
@@ -390,7 +401,6 @@ impl SatSolver {
             deadline: None,
             cancel: Vec::new(),
             memory_limit: None,
-            lit_slots: 0,
             mem_high_water: 0,
             stop_reason: None,
             fault: FaultHooks::default(),
@@ -492,14 +502,11 @@ impl SatSolver {
         self.memory_limit = limit;
     }
 
-    /// Estimated bytes held by the clause arena and watcher lists,
-    /// maintained from O(1) counters (literal slots, clause count) so the
-    /// search loop can poll it: literal storage, per-clause metadata, and
-    /// the two watcher entries every live clause registers.
+    /// Bytes held by the clause arena and watcher lists: every arena word
+    /// (clause headers and inline literals) plus the two watcher entries
+    /// each stored clause registers.  O(1), so the search loop can poll it.
     pub fn memory_estimate(&self) -> usize {
-        self.lit_slots * std::mem::size_of::<Lit>()
-            + self.clauses.len()
-                * (std::mem::size_of::<ClauseData>() + 2 * std::mem::size_of::<u32>())
+        (self.arena.len() + 2 * self.num_clauses) * std::mem::size_of::<u32>()
     }
 
     /// High-water mark of [`memory_estimate`](Self::memory_estimate),
@@ -595,7 +602,7 @@ impl SatSolver {
     /// are physically removed from the arena by reduction, so every stored
     /// clause is live.
     pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
+        self.num_clauses
     }
 
     /// Number of live learnt clauses retained for future calls.
@@ -619,47 +626,81 @@ impl SatSolver {
         }
         lits.sort();
         lits.dedup();
-        // Tautology / falsified-literal simplification at level 0.
-        let mut simplified = Vec::with_capacity(lits.len());
-        let mut i = 0;
-        while i < lits.len() {
-            let l = lits[i];
-            if i + 1 < lits.len() && lits[i + 1] == !l {
-                return true; // tautology: x ∨ ¬x
-            }
-            match self.lit_value(l) {
-                VALUE_TRUE => return true, // already satisfied at level 0
-                VALUE_FALSE => {}          // drop the falsified literal
-                _ => simplified.push(l),
-            }
-            i += 1;
+        // Tautology / falsified-literal simplification at level 0 (sorting
+        // puts x and ¬x next to each other).
+        if lits.windows(2).any(|w| w[1] == !w[0])
+            || lits.iter().any(|&l| self.lit_value(l) == VALUE_TRUE)
+        {
+            return true; // x ∨ ¬x, or already satisfied at level 0
         }
-        match simplified.len() {
+        lits.retain(|&l| self.lit_value(l) != VALUE_FALSE);
+        match lits.len() {
             0 => {
                 self.ok = false;
                 false
             }
             1 => {
-                self.enqueue(simplified[0], None);
+                self.enqueue(lits[0], None);
                 if self.propagate().is_some() {
                     self.ok = false;
                 }
                 self.ok
             }
             _ => {
-                let idx = u32::try_from(self.clauses.len()).expect("clause index overflow");
-                self.watches[simplified[0].index()].push(idx);
-                self.watches[simplified[1].index()].push(idx);
-                self.lit_slots += simplified.len();
-                self.clauses.push(ClauseData {
-                    lits: simplified,
-                    learnt: false,
-                    lbd: 0,
-                    activity: 0.0,
-                });
+                self.store_clause(&lits, 0, 0.0);
                 true
             }
         }
+    }
+
+    /// Appends a clause to the arena and watches its first two literals.
+    /// `meta` is header word 1 (the learnt bit and LBD, 0 for originals).
+    fn store_clause(&mut self, lits: &[Lit], meta: u32, activity: f64) -> u32 {
+        let cr = u32::try_from(self.arena.len()).expect("clause arena overflow");
+        let bits = activity.to_bits();
+        self.arena.extend_from_slice(&[
+            u32::try_from(lits.len()).expect("clause length overflow"),
+            meta,
+            bits as u32,
+            (bits >> 32) as u32,
+        ]);
+        self.arena.extend(lits.iter().map(|l| l.code()));
+        self.watches[lits[0].index()].push(cr);
+        self.watches[lits[1].index()].push(cr);
+        self.num_clauses += 1;
+        cr
+    }
+
+    fn clause_len(&self, cr: u32) -> usize {
+        self.arena[cr as usize] as usize
+    }
+
+    /// Literal `k` of clause `cr`.
+    fn clause_lit(&self, cr: u32, k: usize) -> Lit {
+        Lit::from_code(self.arena[cr as usize + HEADER_WORDS + k])
+    }
+
+    fn clause_activity(&self, cr: u32) -> f64 {
+        let c = cr as usize;
+        f64::from_bits(u64::from(self.arena[c + 2]) | (u64::from(self.arena[c + 3]) << 32))
+    }
+
+    fn set_clause_activity(&mut self, cr: u32, activity: f64) {
+        let c = cr as usize;
+        let bits = activity.to_bits();
+        self.arena[c + 2] = bits as u32;
+        self.arena[c + 3] = (bits >> 32) as u32;
+    }
+
+    /// References of every stored clause, in ascending (insertion) order.
+    fn clause_refs(&self) -> Vec<u32> {
+        let mut refs = Vec::with_capacity(self.num_clauses);
+        let mut c = 0;
+        while c < self.arena.len() {
+            refs.push(c as u32);
+            c += HEADER_WORDS + self.arena[c] as usize;
+        }
+        refs
     }
 
     fn decision_level(&self) -> u32 {
@@ -685,35 +726,36 @@ impl SatSolver {
             let p = self.trail[self.qhead];
             self.qhead += 1;
             self.propagations += 1;
-            let watch_idx = (!p).index();
-            let mut ws = std::mem::take(&mut self.watches[watch_idx]);
-            let mut keep = Vec::with_capacity(ws.len());
+            let false_lit = !p;
+            // Compact the watch list in place: `j` trails `i` over the
+            // watchers that stay.  New watchers go to other lists (a
+            // replacement watch is never the false literal itself), so the
+            // list is taken out and put back whole.
+            let mut ws = std::mem::take(&mut self.watches[false_lit.index()]);
             let mut conflict = None;
-            let mut i = 0;
+            let (mut i, mut j) = (0, 0);
             while i < ws.len() {
-                let ci = ws[i];
+                let cr = ws[i];
                 i += 1;
+                let lits = cr as usize + HEADER_WORDS;
                 // Make sure the false literal is at position 1.
-                let false_lit = !p;
-                {
-                    let lits = &mut self.clauses[ci as usize].lits;
-                    if lits[0] == false_lit {
-                        lits.swap(0, 1);
-                    }
+                if self.arena[lits] == false_lit.code() {
+                    self.arena.swap(lits, lits + 1);
                 }
-                let first = self.clauses[ci as usize].lits[0];
+                let first = Lit::from_code(self.arena[lits]);
                 if self.lit_value(first) == VALUE_TRUE {
-                    keep.push(ci);
+                    ws[j] = cr;
+                    j += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
+                let len = self.arena[cr as usize] as usize;
                 let mut found = false;
-                let len = self.clauses[ci as usize].lits.len();
                 for k in 2..len {
-                    let lk = self.clauses[ci as usize].lits[k];
+                    let lk = Lit::from_code(self.arena[lits + k]);
                     if self.lit_value(lk) != VALUE_FALSE {
-                        self.clauses[ci as usize].lits.swap(1, k);
-                        self.watches[lk.index()].push(ci);
+                        self.arena.swap(lits + 1, lits + k);
+                        self.watches[lk.index()].push(cr);
                         found = true;
                         break;
                     }
@@ -722,26 +764,23 @@ impl SatSolver {
                     continue;
                 }
                 // Clause is unit or conflicting.
-                keep.push(ci);
+                ws[j] = cr;
+                j += 1;
                 if self.lit_value(first) == VALUE_FALSE {
                     // Conflict: keep the remaining watchers and bail out.
                     while i < ws.len() {
-                        keep.push(ws[i]);
+                        ws[j] = ws[i];
+                        j += 1;
                         i += 1;
                     }
-                    conflict = Some(ci);
+                    conflict = Some(cr);
                 } else {
-                    self.enqueue(first, Some(ci));
+                    self.enqueue(first, Some(cr));
                 }
             }
-            ws.clear();
-            // Put back the kept watchers (new watchers registered above are in
-            // other lists, appended after the take, so extend rather than
-            // overwrite).
-            let slot = &mut self.watches[watch_idx];
-            let appended = std::mem::take(slot);
-            *slot = keep;
-            slot.extend(appended);
+            ws.truncate(j);
+            debug_assert!(self.watches[false_lit.index()].is_empty());
+            self.watches[false_lit.index()] = ws;
             if conflict.is_some() {
                 return conflict;
             }
@@ -774,28 +813,36 @@ impl SatSolver {
         self.cla_inc *= 1.0 / 0.9999;
     }
 
-    fn clause_bump(&mut self, ci: u32) {
-        let c = &mut self.clauses[ci as usize];
-        c.activity += self.cla_inc;
-        if c.activity > 1e20 {
-            for c in self.clauses.iter_mut().filter(|c| c.learnt) {
-                c.activity *= 1e-20;
+    fn clause_bump(&mut self, cr: u32) {
+        let activity = self.clause_activity(cr) + self.cla_inc;
+        self.set_clause_activity(cr, activity);
+        if activity > 1e20 {
+            for c in self.clause_refs() {
+                if self.arena[c as usize + 1] & LEARNT_BIT != 0 {
+                    let scaled = self.clause_activity(c) * 1e-20;
+                    self.set_clause_activity(c, scaled);
+                }
             }
             self.cla_inc *= 1e-20;
         }
     }
 
-    fn analyze(&mut self, mut conflict: u32) -> (Clause, u32) {
-        let mut learnt: Clause = vec![Lit::pos(Var(0))]; // placeholder for the asserting literal
+    /// First-UIP analysis of `conflict`: leaves the minimised learnt clause
+    /// in `self.learnt` (asserting literal first, a literal of the
+    /// backtrack level second) and returns the backtrack level.
+    fn analyze(&mut self, mut conflict: u32) -> u32 {
+        let mut learnt = std::mem::take(&mut self.learnt);
+        learnt.clear();
+        learnt.push(Lit::pos(Var(0))); // placeholder for the asserting literal
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
         let mut trail_index = self.trail.len();
 
         loop {
             self.clause_bump(conflict);
-            let lits = self.clauses[conflict as usize].lits.clone();
             let start = usize::from(p.is_some());
-            for &q in &lits[start..] {
+            for k in start..self.clause_len(conflict) {
+                let q = self.clause_lit(conflict, k);
                 let v = q.var();
                 if !self.seen[v.index()] && self.level[v.index()] > 0 {
                     self.seen[v.index()] = true;
@@ -826,54 +873,53 @@ impl SatSolver {
             conflict = self.reason[pv.index()].expect("non-decision literal has a reason");
         }
 
-        // Conflict-clause minimisation (self-subsumption with direct reasons).
-        let keep: Vec<bool> = learnt
-            .iter()
-            .enumerate()
-            .map(|(i, &l)| i == 0 || !self.literal_is_redundant(l, &learnt))
-            .collect();
-        let mut minimized: Clause = learnt
-            .iter()
-            .zip(keep.iter())
-            .filter_map(|(&l, &k)| if k { Some(l) } else { None })
-            .collect();
-
-        // Compute the backtrack level: second highest level in the clause.
-        let mut backtrack = 0;
-        if minimized.len() > 1 {
-            let mut max_i = 1;
-            for i in 2..minimized.len() {
-                if self.level[minimized[i].var().index()]
-                    > self.level[minimized[max_i].var().index()]
-                {
-                    max_i = i;
-                }
+        // Conflict-clause minimisation (self-subsumption with direct
+        // reasons).  `seen` marks exactly the variables of `learnt[1..]`
+        // here and is not touched until every literal is judged, so the
+        // redundant literals are swapped to the tail (keeping the order of
+        // the kept ones) and their flags cleared with the rest.
+        let mut kept = 1;
+        for i in 1..learnt.len() {
+            if !self.literal_is_redundant(learnt[i]) {
+                learnt.swap(kept, i);
+                kept += 1;
             }
-            minimized.swap(1, max_i);
-            backtrack = self.level[minimized[1].var().index()];
         }
-
-        for l in &minimized {
-            self.seen[l.var().index()] = false;
-        }
-        // Also clear flags possibly left set for removed (redundant) literals.
         for l in &learnt {
             self.seen[l.var().index()] = false;
         }
-        (minimized, backtrack)
+        learnt.truncate(kept);
+
+        // Compute the backtrack level: second highest level in the clause.
+        let mut backtrack = 0;
+        if learnt.len() > 1 {
+            let mut max_i = 1;
+            for i in 2..learnt.len() {
+                if self.level[learnt[i].var().index()] > self.level[learnt[max_i].var().index()] {
+                    max_i = i;
+                }
+            }
+            learnt.swap(1, max_i);
+            backtrack = self.level[learnt[1].var().index()];
+        }
+        self.learnt = learnt;
+        backtrack
     }
 
     /// A literal is redundant in the learnt clause if every literal of its
-    /// reason clause is already in the learnt clause (one-step self-subsumption).
-    fn literal_is_redundant(&self, l: Lit, learnt: &Clause) -> bool {
+    /// reason clause is already in the learnt clause (one-step
+    /// self-subsumption).  Membership is the `seen` flag: during
+    /// minimisation it is set exactly for the variables of the learnt
+    /// clause's tail, and a reason's tail literals are false like the
+    /// learnt ones, so a marked variable means that very literal.
+    fn literal_is_redundant(&self, l: Lit) -> bool {
         let Some(r) = self.reason[l.var().index()] else {
             return false;
         };
-        self.clauses[r as usize]
-            .lits
-            .iter()
-            .skip(1)
-            .all(|&q| learnt.contains(&q) || self.level[q.var().index()] == 0)
+        (1..self.clause_len(r)).all(|k| {
+            let v = self.clause_lit(r, k).var().index();
+            self.seen[v] || self.level[v] == 0
+        })
     }
 
     fn backtrack(&mut self, target: u32) {
@@ -893,7 +939,7 @@ impl SatSolver {
         self.qhead = self.trail.len();
     }
 
-    fn learn(&mut self, clause: Clause) -> Option<u32> {
+    fn learn(&mut self, clause: &[Lit]) -> Option<u32> {
         match clause.len() {
             0 => {
                 self.ok = false;
@@ -904,32 +950,34 @@ impl SatSolver {
                 None
             }
             _ => {
-                let idx = u32::try_from(self.clauses.len()).expect("clause index overflow");
-                let lbd = self.compute_lbd(&clause);
-                self.watches[clause[0].index()].push(idx);
-                self.watches[clause[1].index()].push(idx);
-                self.lit_slots += clause.len();
-                self.clauses.push(ClauseData {
-                    lits: clause,
-                    learnt: true,
-                    lbd,
-                    activity: self.cla_inc,
-                });
+                let lbd = self.compute_lbd(clause);
+                let cr = self.store_clause(clause, LEARNT_BIT | lbd, self.cla_inc);
                 self.num_learnt_live += 1;
                 self.reduce_stats.learnt_high_water = self
                     .reduce_stats
                     .learnt_high_water
                     .max(self.num_learnt_live as u64);
-                Some(idx)
+                Some(cr)
             }
         }
     }
 
-    fn compute_lbd(&self, clause: &Clause) -> u32 {
-        let mut levels: Vec<u32> = clause.iter().map(|l| self.level[l.var().index()]).collect();
-        levels.sort_unstable();
-        levels.dedup();
-        u32::try_from(levels.len()).expect("lbd overflow")
+    /// Number of distinct decision levels among the clause's literals.
+    fn compute_lbd(&mut self, clause: &[Lit]) -> u32 {
+        self.lbd_stamp += 1;
+        let mut distinct = 0;
+        for l in clause {
+            let level = self.level[l.var().index()] as usize;
+            if level >= self.level_stamp.len() {
+                self.level_stamp.resize(level + 1, 0);
+            }
+            if self.level_stamp[level] != self.lbd_stamp {
+                self.level_stamp[level] = self.lbd_stamp;
+                distinct += 1;
+            }
+        }
+        debug_assert!(distinct < LEARNT_BIT, "lbd overflow");
+        distinct
     }
 
     fn pick_branch(&mut self) -> Option<Lit> {
@@ -1000,11 +1048,11 @@ impl SatSolver {
                         self.conflict_core.push(l);
                     }
                 }
-                Some(ci) => {
-                    let lits = self.clauses[ci as usize].lits.clone();
-                    for &q in &lits {
-                        if q.var() != v && self.level[q.var().index()] > 0 {
-                            self.seen[q.var().index()] = true;
+                Some(cr) => {
+                    for k in 0..self.clause_len(cr) {
+                        let q = self.clause_lit(cr, k).var();
+                        if q != v && self.level[q.index()] > 0 {
+                            self.seen[q.index()] = true;
                         }
                     }
                 }
@@ -1024,64 +1072,82 @@ impl SatSolver {
     /// assumption levels the glue pool grows without bound, and an immune
     /// pool concentrates deletion on the useful mid-LBD clauses (measured:
     /// ~40% more conflicts on the Table-1 sweep).  The surviving clauses are
-    /// then moved into a fresh arena and every watcher list and reason index
-    /// is remapped, so the deleted clauses' memory is actually returned
-    /// instead of lingering as tombstones — the property that keeps
-    /// long-lived incremental solvers (BMC sweeps, CEGIS loops) at bounded
-    /// memory.
+    /// then slid down over the freed space in place and every watcher list
+    /// and reason reference is remapped, so the arena holds no tombstones —
+    /// the property that keeps long-lived incremental solvers (BMC sweeps,
+    /// CEGIS loops) at bounded memory.
     fn reduce_db(&mut self) {
-        let n = self.clauses.len();
+        // Per-clause side arrays, indexed by ordinal.  While they are live,
+        // header word 1 of each clause holds its ordinal (later its new
+        // reference), so a reference maps to its clause in O(1); `meta`
+        // keeps the displaced learnt bit and LBD.
+        let refs = self.clause_refs();
+        let n = refs.len();
+        let mut meta = Vec::with_capacity(n);
+        for (ordinal, &cr) in refs.iter().enumerate() {
+            let word = &mut self.arena[cr as usize + 1];
+            meta.push(*word);
+            *word = ordinal as u32;
+        }
         let mut locked = vec![false; n];
         for &r in self.reason.iter().flatten() {
-            locked[r as usize] = true;
+            locked[self.arena[r as usize + 1] as usize] = true;
         }
-        let mut candidates: Vec<u32> = (0..u32::try_from(n).expect("clause index overflow"))
-            .filter(|&i| {
-                let c = &self.clauses[i as usize];
-                c.learnt && c.lits.len() > 2 && !locked[i as usize]
-            })
+        let mut candidates: Vec<u32> = (0..n)
+            .filter(|&i| meta[i] & LEARNT_BIT != 0 && self.clause_len(refs[i]) > 2 && !locked[i])
+            .map(|i| i as u32)
             .collect();
         candidates.sort_by(|&a, &b| {
-            let ca = &self.clauses[a as usize];
-            let cb = &self.clauses[b as usize];
-            cb.lbd.cmp(&ca.lbd).then(
-                ca.activity
-                    .partial_cmp(&cb.activity)
+            let (a, b) = (a as usize, b as usize);
+            let lbd = |i: usize| meta[i] & !LEARNT_BIT;
+            lbd(b).cmp(&lbd(a)).then(
+                self.clause_activity(refs[a])
+                    .partial_cmp(&self.clause_activity(refs[b]))
                     .unwrap_or(std::cmp::Ordering::Equal),
             )
         });
         let to_remove = candidates.len() / 2;
         let mut delete = vec![false; n];
-        for &ci in candidates.iter().take(to_remove) {
-            delete[ci as usize] = true;
+        for &i in &candidates[..to_remove] {
+            delete[i as usize] = true;
         }
 
-        // Compact: move survivors into a fresh arena, remap watchers and
-        // reasons.  Locked clauses are never deleted, so every reason index
-        // has a remap target.
-        let mut remap: Vec<u32> = vec![u32::MAX; n];
-        let mut kept: Vec<ClauseData> = Vec::with_capacity(n - to_remove);
-        for (i, c) in std::mem::take(&mut self.clauses).into_iter().enumerate() {
-            if delete[i] {
-                self.reduce_stats.literals_freed += c.lits.len() as u64;
-                self.lit_slots -= c.lits.len();
-                continue;
-            }
-            remap[i] = u32::try_from(kept.len()).expect("clause index overflow");
-            kept.push(c);
+        // Record each survivor's new reference in its header, remap the
+        // watchers and reasons through it, then slide the survivors down.
+        // Locked clauses are never deleted, so every reason has a target.
+        let mut next = 0usize;
+        for (i, &cr) in refs.iter().enumerate() {
+            let size = HEADER_WORDS + self.clause_len(cr);
+            self.arena[cr as usize + 1] = if delete[i] {
+                self.reduce_stats.literals_freed += (size - HEADER_WORDS) as u64;
+                u32::MAX
+            } else {
+                next += size;
+                (next - size) as u32
+            };
         }
-        self.clauses = kept;
+        let arena = &self.arena;
         for ws in &mut self.watches {
-            ws.retain_mut(|ci| {
-                let m = remap[*ci as usize];
-                *ci = m;
-                m != u32::MAX
+            ws.retain_mut(|cr| {
+                *cr = arena[*cr as usize + 1];
+                *cr != u32::MAX
             });
         }
         for r in self.reason.iter_mut().flatten() {
-            *r = remap[*r as usize];
+            *r = arena[*r as usize + 1];
         }
+        for (i, &cr) in refs.iter().enumerate() {
+            if delete[i] {
+                continue;
+            }
+            let (from, to) = (cr as usize, self.arena[cr as usize + 1] as usize);
+            let size = HEADER_WORDS + self.clause_len(cr);
+            self.arena.copy_within(from..from + size, to);
+            self.arena[to + 1] = meta[i];
+        }
+        self.arena.truncate(next);
 
+        self.num_clauses -= to_remove;
         self.num_learnt_live -= to_remove;
         self.reduce_stats.reductions += 1;
         self.reduce_stats.clauses_deleted += to_remove as u64;
@@ -1185,16 +1251,16 @@ impl SatSolver {
                     self.ok = false;
                     return Some(SolveOutcome::Unsat);
                 }
-                let (learnt, backtrack_level) = self.analyze(conflict);
+                let backtrack_level = self.analyze(conflict);
                 self.backtrack(backtrack_level);
-                let asserting = learnt[0];
-                let ci = self.learn(learnt);
-                if let Some(ci) = ci {
+                let learnt = std::mem::take(&mut self.learnt);
+                if let Some(cr) = self.learn(&learnt) {
                     // `learn` watches but does not enqueue; do it with the reason.
-                    if self.lit_value(asserting) == UNASSIGNED {
-                        self.enqueue(asserting, Some(ci));
+                    if self.lit_value(learnt[0]) == UNASSIGNED {
+                        self.enqueue(learnt[0], Some(cr));
                     }
                 }
+                self.learnt = learnt;
                 self.var_decay();
                 self.cla_decay();
                 if self
@@ -1748,6 +1814,186 @@ mod tests {
                     }));
                 }
             }
+        }
+    }
+
+    /// Search-fingerprint tests: the solver's exact search trajectory —
+    /// conflicts, decisions, propagations, reduction counters and assumption
+    /// cores — pinned to constants.  Any change to the hot paths that is meant
+    /// to be a pure speed-up (same decisions, same learnt clauses) must leave
+    /// every constant here untouched; a change that alters the search on
+    /// purpose re-captures them and says so.
+    mod fingerprint {
+        use super::*;
+        use crate::stable::StableHasher;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        /// Everything observable about a solver's search so far, plus a digest
+        /// of the per-call outcomes and assumption cores fed into it.
+        #[derive(Debug, PartialEq, Eq)]
+        struct Fingerprint {
+            conflicts: u64,
+            decisions: u64,
+            propagations: u64,
+            reductions: u64,
+            clauses_deleted: u64,
+            literals_freed: u64,
+            learnt_high_water: u64,
+            calls_digest: u64,
+        }
+
+        impl Fingerprint {
+            fn of(s: &SatSolver, calls: &StableHasher) -> Fingerprint {
+                let r = s.reduce_stats();
+                Fingerprint {
+                    conflicts: s.num_conflicts(),
+                    decisions: s.num_decisions(),
+                    propagations: s.num_propagations(),
+                    reductions: r.reductions,
+                    clauses_deleted: r.clauses_deleted,
+                    literals_freed: r.literals_freed,
+                    learnt_high_water: r.learnt_high_water,
+                    calls_digest: calls.digest(),
+                }
+            }
+        }
+
+        /// Folds one call's outcome and assumption core into the digest.
+        fn record(calls: &mut StableHasher, outcome: SolveOutcome, s: &SatSolver) {
+            calls.write_bytes(&[outcome as u8]);
+            for l in s.unsat_assumptions() {
+                calls.write_bytes(&u32::try_from(l.index()).expect("lit").to_le_bytes());
+            }
+            calls.write_bytes(&[0xff]);
+        }
+
+        fn random_3sat(rng: &mut StdRng, num_vars: i32, num_clauses: usize) -> Vec<Vec<i32>> {
+            (0..num_clauses)
+                .map(|_| {
+                    (0..3)
+                        .map(|_| {
+                            let v = rng.gen_range(1..=num_vars);
+                            if rng.gen_bool(0.5) {
+                                v
+                            } else {
+                                -v
+                            }
+                        })
+                        .collect()
+                })
+                .collect()
+        }
+
+        fn add_all(s: &mut SatSolver, clauses: &[Vec<i32>]) {
+            for c in clauses {
+                s.add_clause(c.iter().map(|&v| lit(v)).collect());
+            }
+        }
+
+        #[test]
+        fn pigeonhole_under_frequent_reduction() {
+            let mut s = solver_with(&pigeonhole(8, 7));
+            s.set_reduce_interval(50);
+            let mut calls = StableHasher::new();
+            let outcome = s.solve();
+            assert_eq!(outcome, SolveOutcome::Unsat);
+            record(&mut calls, outcome, &s);
+            assert_eq!(
+                Fingerprint::of(&s, &calls),
+                Fingerprint {
+                    conflicts: 6118,
+                    decisions: 7449,
+                    propagations: 85557,
+                    reductions: 13,
+                    clauses_deleted: 4013,
+                    literals_freed: 77091,
+                    learnt_high_water: 2100,
+                    calls_digest: 589911111145990281,
+                }
+            );
+        }
+
+        #[test]
+        fn random_3sat_batch_under_assumptions() {
+            let mut rng = StdRng::seed_from_u64(0x5e9e_f1a6);
+            let num_vars = 120;
+            let mut s = solver_with(&random_3sat(&mut rng, num_vars, 480));
+            s.set_reduce_interval(40);
+            let mut calls = StableHasher::new();
+            for _ in 0..40 {
+                let assumps: Vec<Lit> = (0..4)
+                    .map(|_| {
+                        let v = rng.gen_range(1..=num_vars);
+                        lit(if rng.gen_bool(0.5) { v } else { -v })
+                    })
+                    .collect();
+                let outcome = s.solve_under_assumptions(&assumps);
+                record(&mut calls, outcome, &s);
+            }
+            assert_eq!(
+                Fingerprint::of(&s, &calls),
+                Fingerprint {
+                    conflicts: 2231,
+                    decisions: 2621,
+                    propagations: 58239,
+                    reductions: 10,
+                    clauses_deleted: 1389,
+                    literals_freed: 11632,
+                    learnt_high_water: 842,
+                    calls_digest: 15582796233340633266,
+                }
+            );
+        }
+
+        /// CEGIS-shaped: solve under an activation literal, read the model, add
+        /// a clause that blocks its projection onto a few "candidate" variables,
+        /// and repeat until the candidates run out.
+        #[test]
+        fn cegis_shaped_refinement_sequence() {
+            let mut rng = StdRng::seed_from_u64(0xce615);
+            let num_vars = 120;
+            let act = lit(num_vars + 1);
+            let mut s = SatSolver::new();
+            for c in random_3sat(&mut rng, num_vars, 490) {
+                let mut guarded: Clause = c.iter().map(|&v| lit(v)).collect();
+                guarded.push(!act);
+                s.add_clause(guarded);
+            }
+            s.set_reduce_interval(30);
+            let candidates: Vec<Var> = (0..12).map(Var).collect();
+            let mut calls = StableHasher::new();
+            let mut models = 0;
+            loop {
+                let outcome = s.solve_under_assumptions(&[act]);
+                record(&mut calls, outcome, &s);
+                if outcome != SolveOutcome::Sat {
+                    break;
+                }
+                models += 1;
+                let block: Clause = candidates
+                    .iter()
+                    .map(|&v| Lit::new(v, !s.value_of(v)))
+                    .collect();
+                s.add_clause(block);
+                // A refinement lemma over fresh structure between calls.
+                let extra = random_3sat(&mut rng, num_vars, 2);
+                add_all(&mut s, &extra);
+            }
+            assert_eq!(models, 4);
+            assert_eq!(
+                Fingerprint::of(&s, &calls),
+                Fingerprint {
+                    conflicts: 641,
+                    decisions: 853,
+                    propagations: 19098,
+                    reductions: 7,
+                    clauses_deleted: 417,
+                    literals_freed: 3783,
+                    learnt_high_water: 247,
+                    calls_digest: 10929235774705126345,
+                }
+            );
         }
     }
 }

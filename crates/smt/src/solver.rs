@@ -92,7 +92,7 @@ pub struct SolverStats {
     /// Gate-level AIG work of this check: nodes created, strash hits,
     /// constants folded, local rewrites, CNF vars/clauses emitted.
     pub aig: crate::aig::AigStats,
-    /// Wall-clock time of the check.
+    /// Wall-clock time of the SAT search (rewriting and encoding excluded).
     pub duration: Duration,
 }
 
@@ -234,7 +234,6 @@ impl Solver {
     /// create rewritten terms; with [`set_simplify`](Self::set_simplify) off
     /// the manager is not modified.
     pub fn check(&mut self, tm: &mut TermManager) -> SatResult {
-        let start = Instant::now();
         // Word-level simplification: rewrite the assertion set modulo its
         // own equalities before anything is encoded.  Nothing is pre-encoded
         // in a scratch check, so every pinned variable can be eliminated.
@@ -258,7 +257,9 @@ impl Solver {
         sat.set_cancel_flags(self.cancel.clone());
         sat.set_memory_limit(self.memory_limit);
         sat.set_fault_hooks(self.fault);
+        let search_start = Instant::now();
         let outcome = sat.solve();
+        let search_time = search_start.elapsed();
         self.stop_reason = sat.stop_reason();
         self.stats = SolverStats {
             cnf_vars,
@@ -268,7 +269,7 @@ impl Solver {
             propagations: sat.num_propagations(),
             rewrite: rewriter.as_ref().map(Rewriter::stats).unwrap_or_default(),
             aig: aig_stats,
-            duration: start.elapsed(),
+            duration: search_time,
         };
         match outcome {
             SolveOutcome::Sat => {

@@ -3,6 +3,7 @@
 use std::time::{Duration, Instant};
 
 use sepe_smt::concrete::{self, Assignment};
+use sepe_smt::solver::SolverStats;
 use sepe_smt::{
     CancelFlag, FaultHooks, IncrementalSolver, Model, SatResult, Solver, SolverReuseStats,
     StopReason, TermId, TermManager,
@@ -280,7 +281,9 @@ pub struct BmcStats {
     /// rewriting and cone-of-influence work, learnt clauses retained across
     /// depths, learnt-database reduction work).  In
     /// [`BmcMode::PerDepthScratch`] and [`BmcMode::Cumulative`], which build
-    /// fresh solvers, only the rewrite/cone counters are populated.
+    /// fresh solvers, the encoding counters and the SAT checks, conflicts,
+    /// propagations and search time are summed over the queries; the
+    /// learnt-clause counters stay zero.
     pub solver: SolverReuseStats,
     /// Per-query deltas, one entry per SAT query in issue order (one per
     /// depth in the per-depth modes, a single entry in the cumulative
@@ -560,14 +563,7 @@ impl Bmc {
             self.stats.conflicts += solver.stats().conflicts;
             // A scratch solver re-encodes the whole prefix per depth; sum
             // the emissions so the sweep's total encoding cost is readable.
-            self.stats
-                .solver
-                .encode
-                .rewrite
-                .absorb(&solver.stats().rewrite);
-            self.stats.solver.encode.aig.absorb(&solver.stats().aig);
-            self.stats.solver.cnf_vars += solver.stats().cnf_vars;
-            self.stats.solver.cnf_clauses += solver.stats().cnf_clauses;
+            absorb_scratch_check(&mut self.stats.solver, &solver.stats());
             self.stats.deepest_bound = bound;
             self.stats.depths.push(DepthStats {
                 bound,
@@ -649,11 +645,8 @@ impl Bmc {
         self.stats.queries = 1;
         self.stats.conflicts = solver.stats().conflicts;
         self.stats.deepest_bound = max_bound;
-        self.stats.solver.encode.rewrite = solver.stats().rewrite;
+        absorb_scratch_check(&mut self.stats.solver, &solver.stats());
         self.stats.solver.encode.rewrite.coi_dropped_updates = coi_dropped;
-        self.stats.solver.encode.aig = solver.stats().aig;
-        self.stats.solver.cnf_vars = solver.stats().cnf_vars;
-        self.stats.solver.cnf_clauses = solver.stats().cnf_clauses;
         self.stats.depths.push(DepthStats {
             bound: max_bound,
             conflicts: solver.stats().conflicts,
@@ -863,6 +856,21 @@ pub(crate) fn extend_unrolling(
     out
 }
 
+/// Folds one scratch [`Solver::check`] into a run's solver block: its
+/// encoding work (rewrite, AIG, CNF) and its SAT work (one check, its
+/// conflicts, propagations and search time).  The learnt-clause counters
+/// stay zero: a scratch solver retains nothing between queries.
+fn absorb_scratch_check(into: &mut SolverReuseStats, check: &SolverStats) {
+    into.encode.rewrite.absorb(&check.rewrite);
+    into.encode.aig.absorb(&check.aig);
+    into.cnf_vars += check.cnf_vars;
+    into.cnf_clauses += check.cnf_clauses;
+    into.checks += 1;
+    into.conflicts += check.conflicts;
+    into.propagations += check.propagations;
+    into.duration += check.duration;
+}
+
 /// Total next-state updates dropped across the asserted frames at their
 /// current refinement levels.
 pub(crate) fn coi_dropped_total(coi: Option<&CoiInfo>, levels: &[usize]) -> u64 {
@@ -1040,6 +1048,66 @@ mod tests {
             BmcResult::Counterexample(w) => assert_eq!(w.num_steps(), 0),
             other => panic!("expected an immediate counterexample, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn scratch_modes_report_their_sat_work() {
+        // An unreachable target: every query is a real UNSAT search.
+        let config = BmcConfig {
+            mode: BmcMode::Cumulative,
+            ..BmcConfig::default()
+        };
+        let mut tm = TermManager::new();
+        let ts = counter_system(&mut tm, 8, 50, true);
+        let mut bmc = Bmc::new(config.clone());
+        assert!(matches!(
+            bmc.check(&mut tm, &ts, 6),
+            BmcResult::NoCounterexample { bound: 6 }
+        ));
+
+        // The same single query, issued by hand on a scratch solver.
+        let mut tm = TermManager::new();
+        let ts = counter_system(&mut tm, 8, 50, true);
+        let coi = config.simplify.then(|| ts.cone_of_influence(&tm));
+        let mut unroller = Unroller::new(&ts);
+        let mut solver = Solver::new();
+        solver.set_aig(config.aig);
+        solver.set_simplify(config.simplify);
+        let init = unroller.init(&mut tm);
+        solver.assert_term(&tm, init);
+        let c0 = unroller.constraints_at(&mut tm, 0);
+        solver.assert_term(&tm, c0);
+        for t in extend_unrolling(&mut tm, &mut unroller, coi.as_ref(), &mut Vec::new(), 6) {
+            solver.assert_term(&tm, t);
+        }
+        let mut any_bad = tm.fls();
+        for k in config.start_bound..=6 {
+            let bad = unroller.bad_at(&mut tm, k);
+            any_bad = tm.or(any_bad, bad);
+        }
+        solver.assert_term(&tm, any_bad);
+        assert_eq!(solver.check(&mut tm), SatResult::Unsat);
+
+        let reported = &bmc.stats().solver;
+        assert!(reported.propagations > 0);
+        assert_eq!(reported.propagations, solver.stats().propagations);
+        assert_eq!(reported.conflicts, solver.stats().conflicts);
+        assert_eq!(reported.checks, 1);
+        assert_eq!(
+            reported.learnt_deleted, 0,
+            "a scratch solver retains nothing"
+        );
+
+        // Per-depth scratch sums one check per depth.
+        let mut scratch = Bmc::new(BmcConfig {
+            mode: BmcMode::PerDepthScratch,
+            ..BmcConfig::default()
+        });
+        scratch.check(&mut tm, &ts, 6);
+        let s = scratch.stats();
+        assert_eq!(s.solver.checks, s.queries);
+        assert_eq!(s.solver.conflicts, s.conflicts);
+        assert!(s.solver.propagations > 0);
     }
 
     #[test]
