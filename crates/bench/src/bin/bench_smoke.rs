@@ -27,6 +27,7 @@
 //! its [`SEARCH_COUNTERS`] differs at all from the baseline (clause counts
 //! and search counters are deterministic on identical code, so their tight
 //! gates catch encoding and search changes without runner-speed noise).
+//! A gated arm with no baseline entry fails the run as well.
 //!
 //! A sixth, **parallel** arm runs a batch of identical copies of the
 //! `incremental` sweep on the work-stealing detection engine
@@ -75,7 +76,7 @@
 //! Usage:
 //!   bench_smoke [--bound N] [--jobs N] [--out BENCH_smoke.json] [--baseline BENCH_baseline.json]
 
-use serde::Serialize;
+use serde::{Serialize, Value};
 
 use sepe_bench::{jobs_from_args, sweep};
 use sepe_smt::SolverReuseStats;
@@ -231,8 +232,6 @@ impl RobustnessResult {
 /// a baseline: 100% hits, zero misses, zero encodes.
 #[derive(Debug, Clone, Serialize)]
 struct ServiceCacheResult {
-    /// Gate key — leads so `baseline_field` scans stay bounded.
-    mode: String,
     /// Catalogue entries per submit.
     entries: usize,
     /// Wall time of the cold submit (computes + commits everything).
@@ -293,7 +292,6 @@ fn run_service_cache() -> ServiceCacheResult {
     let _ = std::fs::remove_dir_all(&dir);
 
     ServiceCacheResult {
-        mode: "service_cache".to_string(),
         entries,
         cold_wall_ms: cold_wall.as_secs_f64() * 1e3,
         hot_wall_ms: hot_wall.as_secs_f64() * 1e3,
@@ -346,8 +344,6 @@ struct ProofMethodResult {
 ///   baseline (no proof on the buggy design; any trace found matches).
 #[derive(Debug, Clone, Serialize)]
 struct ProofsResult {
-    /// Gate key — leads so `baseline_field` scans stay bounded.
-    mode: String,
     methods: Vec<ProofMethodResult>,
 }
 
@@ -479,10 +475,7 @@ fn run_proofs() -> ProofsResult {
         "proofs arm: no prover closed the clean-config proof"
     );
 
-    ProofsResult {
-        mode: "proofs".to_string(),
-        methods,
-    }
+    ProofsResult { methods }
 }
 
 /// The batched in-solver arm: [`BATCHED_ENTRIES`] identical copies of the
@@ -494,8 +487,6 @@ fn run_proofs() -> ProofsResult {
 /// clauses) must clear [`BATCHED_THROUGHPUT_FLOOR`] and hold its baseline.
 #[derive(Debug, Clone, Serialize)]
 struct BatchedResult {
-    /// Gate key — `baseline_field` scans for this value, so it leads.
-    mode: String,
     /// Catalogue entries answered.
     entries: usize,
     /// Wall time of the whole batched run.
@@ -534,23 +525,24 @@ struct SmokeReport {
     proofs: ProofsResult,
 }
 
-/// Pulls `"<field>": <number>` for a named mode out of a baseline JSON
-/// (hand-rolled scan: the offline serde shim renders but does not parse).
-/// The scan is bounded to the named mode's entry — it stops at the next
-/// `"mode"` key — so a missing field reports as missing instead of
-/// silently reading the next mode's value.
-fn baseline_field(json: &str, mode: &str, field: &str) -> Option<f64> {
-    let marker = format!("\"{mode}\"");
-    let after_mode = &json[json.find(&marker)? + marker.len()..];
-    let entry = &after_mode[..after_mode.find("\"mode\"").unwrap_or(after_mode.len())];
-    let key = format!("\"{field}\":");
-    let after_key = &entry[entry.find(&key)? + key.len()..];
-    let number: String = after_key
-        .trim_start()
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e' || *c == '+')
-        .collect();
-    number.parse().ok()
+/// Reads `field` of a gated arm out of the parsed baseline: the `modes`
+/// entry whose `mode` is `arm`, or else the top-level block named `arm`.
+fn baseline_field(baseline: &Value, arm: &str, field: &str) -> Option<f64> {
+    let modes = baseline.get("modes").and_then(Value::as_array);
+    modes
+        .unwrap_or_default()
+        .iter()
+        .find(|m| m.get("mode").and_then(Value::as_str) == Some(arm))
+        .or_else(|| baseline.get(arm))?
+        .get(field)?
+        .as_f64()
+}
+
+/// Reports a gated field the baseline lacks.  Every gated arm must have
+/// its baseline entry, so a missing one fails the run.
+fn missing(arm: &str, field: &str) -> bool {
+    println!("  {arm:<24} no baseline {field} entry: MISSING");
+    true
 }
 
 fn arg_value(args: &[String], flag: &str) -> Option<String> {
@@ -617,7 +609,6 @@ fn main() {
         .unwrap_or(0)
         * BATCHED_ENTRIES as u64;
     let batched = BatchedResult {
-        mode: "batched".to_string(),
         entries: BATCHED_ENTRIES,
         wall_ms: bstats.wall.as_secs_f64() * 1e3,
         queries: bstats.queries,
@@ -809,6 +800,8 @@ fn main() {
     if let Some(path) = baseline_path {
         let baseline = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
+        let baseline = serde_json::from_str(&baseline)
+            .unwrap_or_else(|e| panic!("cannot parse baseline {path}: {e}"));
         let mut regressed = false;
         for m in &report.modes {
             match baseline_field(&baseline, &m.mode, "wall_ms") {
@@ -825,7 +818,7 @@ fn main() {
                         m.mode, m.wall_ms, expected
                     );
                 }
-                None => println!("  {:<24} no baseline wall_ms entry, skipping", m.mode),
+                None => regressed |= missing(&m.mode, "wall_ms"),
             }
             // The clause gate is the noise-free half: counts are
             // deterministic on identical code, so exceeding the tight
@@ -844,7 +837,7 @@ fn main() {
                         m.mode, m.cnf_clauses, expected
                     );
                 }
-                _ => println!("  {:<24} no baseline cnf_clauses entry, skipping", m.mode),
+                _ => regressed |= missing(&m.mode, "cnf_clauses"),
             }
             let measured = [
                 m.conflicts,
@@ -866,7 +859,7 @@ fn main() {
                             m.mode
                         );
                     }
-                    None => println!("  {:<24} no baseline {field} entry, skipping", m.mode),
+                    None => regressed |= missing(&m.mode, field),
                 }
             }
         }
@@ -888,10 +881,7 @@ fn main() {
                     "batched", report.batched.cnf_clauses, expected
                 );
             }
-            _ => println!(
-                "  {:<24} no baseline cnf_clauses entry, skipping",
-                "batched"
-            ),
+            _ => regressed |= missing("batched", "cnf_clauses"),
         }
         match baseline_field(&baseline, "batched", "throughput") {
             Some(expected) if expected > 0.0 => {
@@ -907,13 +897,13 @@ fn main() {
                     "batched", report.batched.throughput
                 );
             }
-            _ => println!("  {:<24} no baseline throughput entry, skipping", "batched"),
+            _ => regressed |= missing("batched", "throughput"),
         }
         if regressed {
             eprintln!(
                 "bench-smoke: wall time (>{REGRESSION_FACTOR}x), CNF clause count \
                  (>{CLAUSE_REGRESSION_FACTOR}x) or a search counter (any change) \
-                 regressed against {path}"
+                 regressed against {path}, or a gated entry is missing from it"
             );
             std::process::exit(1);
         }

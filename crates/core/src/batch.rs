@@ -119,7 +119,9 @@ pub struct BatchedStats {
     /// (shared-solver poisoning, or a budget-stopped entry granted a
     /// retry).
     pub fallbacks: u64,
-    /// Deepest bound the shared unrolling was extended to.
+    /// Deepest bound a query on the shared solver checked (a depth whose
+    /// every unresolved entry was cancelled before its query does not
+    /// count).
     pub deepest_bound: usize,
     /// SAT conflicts spent by the shared solver (fallback runs not
     /// included; their conflicts are in the per-entry detections).
@@ -796,5 +798,19 @@ mod tests {
         assert!(!neighbour.inconclusive, "the neighbour completes normally");
         assert_eq!(outcome.stats.cancelled, 1);
         assert_eq!(outcome.stats.encodes, 1, "no fallback for a cancellation");
+    }
+
+    #[test]
+    fn deepest_bound_counts_only_queried_depths() {
+        // Every entry is cancelled at depth 2: the shared unrolling is
+        // extended there, but no query checks it.
+        let (config, mut catalogue) = tiny_catalogue();
+        for entry in &mut catalogue {
+            entry.fault = Some(FaultPlan::cancel_at(2));
+        }
+        let outcome = BatchedDetector::new(config).run(Method::Sqed, &catalogue);
+        assert_eq!(outcome.stats.cancelled, 2);
+        assert_eq!(outcome.stats.queries, 2, "one query per entry at depth 1");
+        assert_eq!(outcome.stats.deepest_bound, 1);
     }
 }

@@ -39,11 +39,6 @@
 //! Per-job [`SolverReuseStats`] are aggregated into a [`BatchStats`] so a
 //! batch reports the same counters the sequential drivers print.
 //!
-//! The pre-redesign entry points survive as deprecated shims:
-//! `ParallelEngine` is an alias of [`Engine`], and
-//! [`Engine::run_portfolio`] forwards to [`Engine::run`] with a
-//! [`BatchSpec::Portfolio`].
-//!
 //! # Example
 //!
 //! ```
@@ -625,10 +620,6 @@ pub struct Engine {
     retry: RetryPolicy,
 }
 
-/// The engine's pre-redesign name.
-#[deprecated(note = "renamed to `Engine`; drive it through `Engine::run(BatchSpec)`")]
-pub type ParallelEngine = Engine;
-
 impl Engine {
     /// Creates an engine with the given worker count (clamped to ≥ 1).
     pub fn new(workers: usize) -> Self {
@@ -739,32 +730,19 @@ impl Engine {
         }
     }
 
-    /// Races the same query under each arm's configuration; the first arm
-    /// to return a *conclusive* verdict wins and the others are cancelled
-    /// through the shared flag (they report as inconclusive, cancelled
-    /// [`ArmOutcome`]s).  If every arm is inconclusive — budget expiry, or
-    /// conflict limits all round — the earliest finisher is the "winner" so
-    /// the outcome always carries a detection.
+    /// The portfolio race behind [`BatchSpec::Portfolio`]: the same query
+    /// under each arm's configuration; the first arm to return a
+    /// *conclusive* verdict wins and the others are cancelled through the
+    /// shared flag (they report as inconclusive, cancelled
+    /// [`ArmOutcome`]s).  If every arm is inconclusive, the earliest
+    /// finisher is the "winner" so the outcome always carries a detection.
     ///
     /// Soundness makes first-finisher-wins safe: every arm decides the same
     /// bounded reachability question, so conclusive arms can only agree on
     /// `detected`.  Only trace *lengths* may differ (the cumulative arm
-    /// returns an arbitrary-model trace, not a shortest one).
-    ///
-    /// The arm count is capped by neither `workers` nor the job queue —
-    /// a portfolio is one query's race, and arms only pay off when they
-    /// actually run concurrently.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `arms` is empty.
-    #[deprecated(note = "use `Engine::run(BatchSpec::portfolio(job, arms))`")]
-    pub fn run_portfolio(&self, job: &DetectionJob, arms: &[PortfolioArm]) -> PortfolioOutcome {
-        self.race_portfolio(job, arms)
-    }
-
-    /// The portfolio race behind [`BatchSpec::Portfolio`]; see
-    /// [`Engine::run`].
+    /// returns an arbitrary-model trace, not a shortest one).  The arm
+    /// count is capped by neither `workers` nor the job queue — arms only
+    /// pay off when they actually run concurrently.
     fn race_portfolio(&self, job: &DetectionJob, arms: &[PortfolioArm]) -> PortfolioOutcome {
         assert!(!arms.is_empty(), "a portfolio needs at least one arm");
         let start = Instant::now();

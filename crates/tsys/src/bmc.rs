@@ -1,5 +1,6 @@
 //! The bounded model checker.
 
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 use sepe_smt::concrete::{self, Assignment};
@@ -10,6 +11,7 @@ use sepe_smt::{
 };
 
 use crate::prove::ProofMethod;
+use crate::session::{BmcSession, QueryOutcome};
 use crate::ts::{CoiInfo, TransitionSystem};
 use crate::unroll::Unroller;
 use crate::witness::{Frame, Witness};
@@ -17,8 +19,9 @@ use crate::witness::{Frame, Witness};
 /// How the checker explores depths.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BmcMode {
-    /// One SAT query per depth on a single persistent [`IncrementalSolver`]:
-    /// the unrolling is asserted once and grows monotonically, each depth's
+    /// One SAT query per depth on a single [`BmcSession`] (one persistent
+    /// [`IncrementalSolver`]): the unrolling is asserted once and grows
+    /// monotonically, each depth's
     /// bad state rides along as a retractable assumption, and learnt clauses
     /// carry over between depths.  The first counterexample found is a
     /// shortest one.
@@ -37,8 +40,8 @@ pub enum BmcMode {
     /// a different model may violate earlier; use [`BmcMode::PerDepth`] when
     /// minimal trace lengths matter.
     Cumulative,
-    /// [`BmcMode::Cumulative`] on one persistent [`IncrementalSolver`] owned
-    /// by the [`Bmc`] instance: each [`check`](Bmc::check) call asserts only
+    /// [`BmcMode::Cumulative`] on one [`BmcSession`] owned by the [`Bmc`]
+    /// instance: each [`check`](Bmc::check) call asserts only
     /// the transition frames not yet asserted by earlier calls and issues a
     /// single query with the bad-state disjunct of the not-yet-proven depths
     /// as a *retractable* assumption.  Calling `check` repeatedly with a
@@ -167,6 +170,42 @@ impl BmcConfig {
         BmcConfigBuilder {
             config: BmcConfig::default(),
         }
+    }
+
+    /// A fresh incremental solver configured from this config: AIG layer,
+    /// word-level rewriting and every budget [`arm`](Self::arm) sets, its
+    /// wall deadline counted from `start`.
+    pub(crate) fn incremental_solver(&self, start: Instant) -> IncrementalSolver {
+        let mut solver = IncrementalSolver::new();
+        solver.set_aig(self.aig);
+        solver.set_simplify(self.simplify);
+        self.arm(&mut solver, start);
+        solver
+    }
+
+    /// (Re-)arms an incremental solver's per-run budgets: conflict limit,
+    /// wall deadline counted from `start`, cancellation flags, memory cap
+    /// and the fault plan's SAT hooks (the default hooks arm nothing).
+    pub(crate) fn arm(&self, solver: &mut IncrementalSolver, start: Instant) {
+        solver.set_conflict_limit(self.conflict_limit);
+        solver.set_deadline(self.time_limit.map(|limit| start + limit));
+        solver.set_cancel_flags(self.cancel.clone());
+        solver.set_memory_limit(self.memory_limit);
+        solver.set_fault_hooks(self.fault.sat);
+    }
+
+    /// A fresh scratch solver configured like
+    /// [`incremental_solver`](Self::incremental_solver).
+    pub(crate) fn scratch_solver(&self, start: Instant) -> Solver {
+        let mut solver = Solver::new();
+        solver.set_aig(self.aig);
+        solver.set_simplify(self.simplify);
+        solver.set_conflict_limit(self.conflict_limit);
+        solver.set_deadline(self.time_limit.map(|limit| start + limit));
+        solver.set_cancel_flags(self.cancel.clone());
+        solver.set_memory_limit(self.memory_limit);
+        solver.set_fault_hooks(self.fault.sat);
+        solver
     }
 }
 
@@ -344,29 +383,16 @@ impl BmcResult {
     }
 }
 
-/// Persistent solver state of [`BmcMode::CumulativeIncremental`], carried
-/// across [`Bmc::check`] calls.
-#[derive(Debug, Clone)]
-struct CumulativeState {
-    solver: IncrementalSolver,
-    /// Per asserted frame, the remaining depth its next-state updates are
-    /// topped up to (`levels.len()` frames asserted so far).
-    levels: Vec<usize>,
-    /// Shallowest depth whose bad state has not been proven unreachable yet.
-    next_unproven: usize,
-    /// Next-state updates dropped by the cone-of-influence pass at the
-    /// current frame levels.
-    coi_dropped: u64,
-}
-
 /// The bounded model checker.
 #[derive(Debug, Clone, Default)]
 pub struct Bmc {
     config: BmcConfig,
     stats: BmcStats,
-    /// Solver state persisted across `check` calls in
+    /// The session persisted across `check` calls in
     /// [`BmcMode::CumulativeIncremental`]; `None` in every other mode.
-    cumulative: Option<CumulativeState>,
+    session: Option<BmcSession>,
+    /// Shallowest depth the persisted session has not proven unreachable.
+    next_unproven: usize,
 }
 
 impl Bmc {
@@ -374,8 +400,7 @@ impl Bmc {
     pub fn new(config: BmcConfig) -> Self {
         Bmc {
             config,
-            stats: BmcStats::default(),
-            cumulative: None,
+            ..Bmc::default()
         }
     }
 
@@ -384,20 +409,12 @@ impl Bmc {
         self.stats.clone()
     }
 
-    /// Whether any configured shared cancellation flag has been raised.
-    fn cancelled(&self) -> bool {
-        self.config
-            .cancel
-            .iter()
-            .any(|c| c.load(std::sync::atomic::Ordering::Relaxed))
-    }
-
-    /// Drops the persistent solver state of
-    /// [`BmcMode::CumulativeIncremental`], so the next
-    /// [`check`](Self::check) starts from scratch (required before reusing
-    /// the checker on a different transition system or term manager).
+    /// Drops the persistent session of [`BmcMode::CumulativeIncremental`],
+    /// so the next [`check`](Self::check) starts from scratch (required
+    /// before reusing the checker on a different transition system or term
+    /// manager).
     pub fn reset(&mut self) {
-        self.cumulative = None;
+        self.session = None;
     }
 
     /// Checks whether any bad state of `ts` is reachable within `max_bound`
@@ -417,10 +434,26 @@ impl Bmc {
         }
     }
 
-    /// Per-depth exploration on one persistent incremental solver: the
-    /// unrolling prefix is asserted exactly once (each depth adds only the
-    /// new frame's transition and constraints), the depth's bad state is a
-    /// retractable assumption, and all SAT-level learning carries over.
+    /// The between-depths poll of the per-depth modes: why the run must
+    /// stop before querying `bound` (wall budget gone, a cancellation flag
+    /// raised, or the fault plan's injected cancellation at this depth).
+    fn poll(&self, start: Instant, bound: usize) -> Option<StopReason> {
+        let cancelled = self.config.fault.cancel_at_depth == Some(bound)
+            || self.config.cancel.iter().any(|c| c.load(Ordering::Relaxed));
+        if self
+            .config
+            .time_limit
+            .is_some_and(|limit| start.elapsed() > limit)
+        {
+            Some(StopReason::Deadline)
+        } else {
+            cancelled.then_some(StopReason::Cancelled)
+        }
+    }
+
+    /// Per-depth exploration on one [`BmcSession`]: the unrolling prefix is
+    /// asserted exactly once, each depth's bad state is a retractable
+    /// assumption, and all SAT-level learning carries over.
     fn check_per_depth(
         &mut self,
         tm: &mut TermManager,
@@ -428,79 +461,25 @@ impl Bmc {
         max_bound: usize,
     ) -> BmcResult {
         let start = Instant::now();
-        self.stats = BmcStats::default();
-        let mut unroller = Unroller::new(ts);
-        let coi = self.config.simplify.then(|| ts.cone_of_influence(tm));
-
-        let mut solver = IncrementalSolver::new();
-        solver.set_aig(self.config.aig);
-        solver.set_simplify(self.config.simplify);
-        solver.set_conflict_limit(self.config.conflict_limit);
-        solver.set_deadline(self.config.time_limit.map(|limit| start + limit));
-        solver.set_cancel_flags(self.config.cancel.clone());
-        solver.set_memory_limit(self.config.memory_limit);
-        solver.set_fault_hooks(self.config.fault.sat);
-        let init = unroller.init(tm);
-        solver.assert_term(tm, init);
-        let c0 = unroller.constraints_at(tm, 0);
-        solver.assert_term(tm, c0);
-        // Per asserted frame, the remaining depth it is topped up to.
-        let mut levels: Vec<usize> = Vec::new();
-
+        let mut session = BmcSession::open(tm, ts, &self.config);
+        let mut result = BmcResult::NoCounterexample { bound: max_bound };
         for bound in self.config.start_bound..=max_bound {
-            for t in extend_unrolling(tm, &mut unroller, coi.as_ref(), &mut levels, bound) {
-                solver.assert_term(tm, t);
+            session.extend(tm, bound);
+            if let Some(reason) = self.poll(start, bound) {
+                result = BmcResult::Unknown { bound, reason };
+                break;
             }
-            let coi_dropped = coi_dropped_total(coi.as_ref(), &levels);
-            let budget_gone = self
-                .config
-                .time_limit
-                .is_some_and(|limit| start.elapsed() > limit);
-            let fault_cancel = self.config.fault.cancel_at_depth == Some(bound);
-            if budget_gone || fault_cancel || self.cancelled() {
-                self.stats.solver = solver.stats();
-                self.stats.solver.encode.rewrite.coi_dropped_updates = coi_dropped;
-                self.stats.duration = start.elapsed();
-                let reason = if budget_gone {
-                    StopReason::Deadline
-                } else {
-                    StopReason::Cancelled
-                };
-                return BmcResult::Unknown { bound, reason };
-            }
-            let bad = unroller.bad_at(tm, bound);
-            let result = solver.check_assuming(tm, &[bad]);
-            self.stats.queries += 1;
-            let mut sstats = solver.stats();
-            sstats.encode.rewrite.coi_dropped_updates = coi_dropped;
-            self.stats.conflicts = sstats.conflicts;
-            self.stats.solver = sstats;
-            self.stats.deepest_bound = bound;
-            self.stats.depths.push(DepthStats {
-                bound,
-                conflicts: sstats.conflicts_last_check,
-                clauses_added: sstats.clauses_last_check,
-                learnt_retained: sstats.learnt_retained,
-                duration: sstats.duration_last_check,
-            });
-            match result {
-                SatResult::Sat => {
-                    let model = solver.model(tm).clone();
-                    let witness =
-                        extract_witness(tm, ts, &mut unroller, &model, bound, coi.as_ref());
-                    self.stats.duration = start.elapsed();
-                    return BmcResult::Counterexample(witness);
-                }
-                SatResult::Unsat => {}
-                SatResult::Unknown => {
-                    self.stats.duration = start.elapsed();
-                    let reason = solver.stop_reason().unwrap_or(StopReason::ConflictBudget);
-                    return BmcResult::Unknown { bound, reason };
+            let bad = session.bad_at(tm, bound);
+            match session.query(tm, bound, &[bad]) {
+                QueryOutcome::Unreachable => {}
+                outcome => {
+                    result = outcome.into_result(bound);
+                    break;
                 }
             }
         }
-        self.stats.duration = start.elapsed();
-        BmcResult::NoCounterexample { bound: max_bound }
+        self.stats = session.stats();
+        result
     }
 
     /// Per-depth exploration with a fresh scratch solver per depth — the
@@ -530,30 +509,13 @@ impl Bmc {
                 let both = tm.and(tr, cs);
                 path.push(both);
             }
-            let budget_gone = self
-                .config
-                .time_limit
-                .is_some_and(|limit| start.elapsed() > limit);
-            let fault_cancel = self.config.fault.cancel_at_depth == Some(bound);
-            if budget_gone || fault_cancel || self.cancelled() {
+            if let Some(reason) = self.poll(start, bound) {
                 self.stats.duration = start.elapsed();
-                let reason = if budget_gone {
-                    StopReason::Deadline
-                } else {
-                    StopReason::Cancelled
-                };
                 return BmcResult::Unknown { bound, reason };
             }
             let bad = unroller.bad_at(tm, bound);
             let query_start = Instant::now();
-            let mut solver = Solver::new();
-            solver.set_aig(self.config.aig);
-            solver.set_simplify(self.config.simplify);
-            solver.set_conflict_limit(self.config.conflict_limit);
-            solver.set_deadline(self.config.time_limit.map(|limit| start + limit));
-            solver.set_cancel_flags(self.config.cancel.clone());
-            solver.set_memory_limit(self.config.memory_limit);
-            solver.set_fault_hooks(self.config.fault.sat);
+            let mut solver = self.config.scratch_solver(start);
             for &p in path.iter().take(bound + 2) {
                 solver.assert_term(tm, p);
             }
@@ -575,7 +537,7 @@ impl Bmc {
             match result {
                 SatResult::Sat => {
                     let model = solver.model(tm).clone();
-                    let witness = extract_witness(tm, ts, &mut unroller, &model, bound, None);
+                    let witness = extract_witness(tm, &mut unroller, &model, bound, None);
                     self.stats.duration = start.elapsed();
                     return BmcResult::Counterexample(witness);
                 }
@@ -602,14 +564,7 @@ impl Bmc {
         let mut unroller = Unroller::new(ts);
         let coi = self.config.simplify.then(|| ts.cone_of_influence(tm));
 
-        let mut solver = Solver::new();
-        solver.set_aig(self.config.aig);
-        solver.set_simplify(self.config.simplify);
-        solver.set_conflict_limit(self.config.conflict_limit);
-        solver.set_deadline(self.config.time_limit.map(|limit| start + limit));
-        solver.set_cancel_flags(self.config.cancel.clone());
-        solver.set_memory_limit(self.config.memory_limit);
-        solver.set_fault_hooks(self.config.fault.sat);
+        let mut solver = self.config.scratch_solver(start);
         let init = unroller.init(tm);
         solver.assert_term(tm, init);
         let c0 = unroller.constraints_at(tm, 0);
@@ -627,14 +582,7 @@ impl Bmc {
             any_bad = tm.or(any_bad, bad);
         }
         solver.assert_term(tm, any_bad);
-        if self
-            .config
-            .fault
-            .cancel_at_depth
-            .is_some_and(|d| d <= max_bound)
-        {
-            // The single query covers this depth: act as a raised flag at
-            // the pre-query poll, like the per-depth modes do.
+        if self.fault_cancels_upto(max_bound) {
             self.stats.duration = start.elapsed();
             return BmcResult::Unknown {
                 bound: max_bound,
@@ -664,8 +612,7 @@ impl Bmc {
                     .map(|(k, _)| *k)
                     .unwrap_or(max_bound);
                 self.stats.deepest_bound = violated;
-                let witness =
-                    extract_witness(tm, ts, &mut unroller, &model, violated, coi.as_ref());
+                let witness = extract_witness(tm, &mut unroller, &model, violated, coi.as_ref());
                 BmcResult::Counterexample(witness)
             }
             SatResult::Unsat => BmcResult::NoCounterexample { bound: max_bound },
@@ -678,11 +625,21 @@ impl Bmc {
         result
     }
 
-    /// Cumulative exploration on the persistent solver owned by this `Bmc`:
-    /// only the transition frames beyond what earlier calls asserted are
-    /// encoded, the bad-state disjunct over the not-yet-proven depths rides
-    /// along as a retractable assumption, and a proven `max_bound` is
-    /// remembered so a later, deeper call checks only the new depths.
+    /// Whether the fault plan's injected cancellation falls within a
+    /// cumulative query up to `max_bound`: it acts as a raised flag at the
+    /// pre-query poll, like the per-depth modes' between-depths poll.
+    fn fault_cancels_upto(&self, max_bound: usize) -> bool {
+        self.config
+            .fault
+            .cancel_at_depth
+            .is_some_and(|d| d <= max_bound)
+    }
+
+    /// Cumulative exploration on the [`BmcSession`] this `Bmc` keeps across
+    /// calls: only the transition frames beyond what earlier calls asserted
+    /// are encoded, one `BmcSession::query_bad` covers the not-yet-proven
+    /// depths, and a proven `max_bound` is remembered so a later, deeper
+    /// call checks only the new depths.
     fn check_cumulative_incremental(
         &mut self,
         tm: &mut TermManager,
@@ -690,123 +647,67 @@ impl Bmc {
         max_bound: usize,
     ) -> BmcResult {
         let start = Instant::now();
-        self.stats = BmcStats::default();
-        let mut unroller = Unroller::new(ts);
-        let coi = self.config.simplify.then(|| ts.cone_of_influence(tm));
-
-        if self.cumulative.is_none() {
-            let mut solver = IncrementalSolver::new();
-            solver.set_aig(self.config.aig);
-            solver.set_simplify(self.config.simplify);
-            let init = unroller.init(tm);
-            solver.assert_term(tm, init);
-            let c0 = unroller.constraints_at(tm, 0);
-            solver.assert_term(tm, c0);
-            self.cumulative = Some(CumulativeState {
-                solver,
-                levels: Vec::new(),
-                next_unproven: self.config.start_bound,
-                coi_dropped: 0,
-            });
-        }
-        let state = self.cumulative.as_mut().expect("state initialized above");
-        let solver = &mut state.solver;
-        solver.set_conflict_limit(self.config.conflict_limit);
-        solver.set_deadline(self.config.time_limit.map(|limit| start + limit));
-        solver.set_cancel_flags(self.config.cancel.clone());
-        solver.set_memory_limit(self.config.memory_limit);
-        solver.set_fault_hooks(self.config.fault.sat);
-
-        let var_watermark = solver.num_cnf_vars();
-        let frames_before = state.levels.len();
-        for t in extend_unrolling(
-            tm,
-            &mut unroller,
-            coi.as_ref(),
-            &mut state.levels,
-            max_bound,
-        ) {
-            solver.assert_term(tm, t);
-        }
-        state.coi_dropped = coi_dropped_total(coi.as_ref(), &state.levels);
-        if let Some(factor) = self.config.frame_rescore {
-            // The unrolling grew: decay the branching activity accumulated
-            // on the old frames so VSIDS re-centres on the new ones.
-            if state.levels.len() > frames_before && var_watermark > 0 {
-                solver.rescale_activities_before(var_watermark, factor);
+        let mut session = match self.session.take() {
+            Some(session) => session,
+            None => {
+                self.next_unproven = self.config.start_bound;
+                BmcSession::open(tm, ts, &self.config)
+            }
+        };
+        self.config.arm(session.solver(), start);
+        let var_watermark = session.solver().num_cnf_vars();
+        if session.extend(tm, max_bound) && var_watermark > 0 {
+            if let Some(factor) = self.config.frame_rescore {
+                // The unrolling grew: decay the branching activity
+                // accumulated on the old frames so VSIDS re-centres on the
+                // new ones.
+                session
+                    .solver()
+                    .rescale_activities_before(var_watermark, factor);
             }
         }
-        self.stats.deepest_bound = max_bound;
-        if state.next_unproven > max_bound {
+        let mut queries = 0;
+        let result = if self.next_unproven > max_bound {
             // Every depth up to max_bound was proven unreachable by an
-            // earlier call on this solver.
-            self.stats.solver = solver.stats();
-            self.stats.solver.encode.rewrite.coi_dropped_updates = state.coi_dropped;
-            self.stats.duration = start.elapsed();
-            return BmcResult::NoCounterexample { bound: max_bound };
-        }
-
-        // One query: the disjunction of the unproven depths' bad states as a
-        // retractable assumption (a deeper follow-up call assumes a fresh
-        // disjunct, so nothing about the bads is asserted permanently).
-        let mut bads = Vec::new();
-        let mut any_bad = tm.fls();
-        for k in state.next_unproven..=max_bound {
-            let bad = unroller.bad_at(tm, k);
-            bads.push((k, bad));
-            any_bad = tm.or(any_bad, bad);
-        }
-        if self
-            .config
-            .fault
-            .cancel_at_depth
-            .is_some_and(|d| d <= max_bound)
-        {
-            // The single query covers this depth: act as a raised flag at
-            // the pre-query poll, like the per-depth modes do.
-            self.stats.duration = start.elapsed();
-            return BmcResult::Unknown {
+            // earlier call on this session.
+            BmcResult::NoCounterexample { bound: max_bound }
+        } else if self.fault_cancels_upto(max_bound) {
+            BmcResult::Unknown {
                 bound: max_bound,
                 reason: StopReason::Cancelled,
-            };
-        }
-        let outcome = solver.check_assuming(tm, &[any_bad]);
-        let mut sstats = solver.stats();
-        sstats.encode.rewrite.coi_dropped_updates = state.coi_dropped;
-        self.stats.queries = 1;
-        self.stats.conflicts = sstats.conflicts;
-        self.stats.solver = sstats;
-        self.stats.depths.push(DepthStats {
-            bound: max_bound,
-            conflicts: sstats.conflicts_last_check,
-            clauses_added: sstats.clauses_last_check,
-            learnt_retained: sstats.learnt_retained,
-            duration: sstats.duration_last_check,
-        });
-        let result = match outcome {
-            SatResult::Sat => {
-                let model = solver.model(tm).clone();
-                let violated = bads
-                    .iter()
-                    .find(|(_, bad)| model.eval(tm, *bad) == 1)
-                    .map(|(k, _)| *k)
-                    .unwrap_or(max_bound);
-                self.stats.deepest_bound = violated;
-                let witness =
-                    extract_witness(tm, ts, &mut unroller, &model, violated, coi.as_ref());
-                BmcResult::Counterexample(witness)
             }
-            SatResult::Unsat => {
-                state.next_unproven = max_bound + 1;
-                BmcResult::NoCounterexample { bound: max_bound }
+        } else {
+            queries = 1;
+            let outcome = session.query_bad(tm, self.next_unproven..=max_bound);
+            if let QueryOutcome::Unreachable = outcome {
+                self.next_unproven = max_bound + 1;
             }
-            SatResult::Unknown => BmcResult::Unknown {
-                bound: max_bound,
-                reason: solver.stop_reason().unwrap_or(StopReason::ConflictBudget),
-            },
+            outcome.into_result(max_bound)
         };
-        self.stats.duration = start.elapsed();
+        // Cumulative solver counters, per-call queries and depths.
+        let mut stats = session.stats();
+        stats.depths.drain(..stats.depths.len() - queries);
+        stats.queries = queries as u64;
+        stats.deepest_bound = match &result {
+            BmcResult::Counterexample(w) => w.num_steps(),
+            _ => max_bound,
+        };
+        stats.duration = start.elapsed();
+        self.stats = stats;
+        self.session = Some(session);
         result
+    }
+}
+
+impl QueryOutcome {
+    /// The run verdict of a query at `bound` (an unreachable bad state
+    /// means no counterexample up to `bound`).
+    fn into_result(self, bound: usize) -> BmcResult {
+        match self {
+            QueryOutcome::Counterexample(witness) => BmcResult::Counterexample(witness),
+            QueryOutcome::Unreachable => BmcResult::NoCounterexample { bound },
+            QueryOutcome::Unknown(reason) => BmcResult::Unknown { bound, reason },
+        }
     }
 }
 
@@ -824,7 +725,7 @@ impl Bmc {
 /// order — one definition of the frame dispatch for all BMC modes.
 pub(crate) fn extend_unrolling(
     tm: &mut TermManager,
-    unroller: &mut Unroller<'_>,
+    unroller: &mut Unroller,
     coi: Option<&CoiInfo>,
     levels: &mut Vec<usize>,
     bound: usize,
@@ -894,15 +795,15 @@ pub(crate) fn coi_dropped_total(coi: Option<&CoiInfo>, levels: &[usize]) -> u64 
 /// forces agreement — so the overwrite is harmless.
 pub(crate) fn extract_witness(
     tm: &mut TermManager,
-    ts: &TransitionSystem,
-    unroller: &mut Unroller<'_>,
+    unroller: &mut Unroller,
     model: &Model,
     bound: usize,
     coi: Option<&CoiInfo>,
 ) -> Witness {
     let mut env: Assignment = model.assignment().clone();
+    let state_vars = unroller.ts().state_vars().to_vec();
+    let inputs = unroller.ts().inputs().to_vec();
     if let Some(coi) = coi {
-        let state_vars: Vec<_> = ts.state_vars().to_vec();
         for k in 1..=bound {
             let remaining = bound - k;
             for sv in &state_vars {
@@ -922,7 +823,7 @@ pub(crate) fn extract_witness(
     // are variable terms, so they always have names.
     for k in 0..=bound {
         let mut frame = Frame::default();
-        for sv in ts.state_vars() {
+        for sv in &state_vars {
             let name = tm
                 .var_name(sv.current)
                 .expect("state vars are variables")
@@ -930,7 +831,7 @@ pub(crate) fn extract_witness(
             let at = unroller.var_at(tm, sv.current, k);
             frame.states.insert(name, concrete::eval(tm, at, &env));
         }
-        for &input in ts.inputs() {
+        for &input in &inputs {
             let name = tm
                 .var_name(input)
                 .expect("inputs are variables")
@@ -1444,6 +1345,149 @@ mod tests {
                 other => panic!("verdicts diverge at bound {bound}: {other:?}"),
             }
         }
+    }
+
+    /// A caller-driven per-depth loop over a [`BmcSession`]: extend, then
+    /// query the depth's bad state, stopping at the first non-UNSAT answer.
+    fn session_loop(
+        tm: &mut TermManager,
+        ts: &TransitionSystem,
+        config: &BmcConfig,
+        max_bound: usize,
+    ) -> (BmcResult, BmcStats) {
+        let mut session = BmcSession::open(tm, ts, config);
+        let mut end = BmcResult::NoCounterexample { bound: max_bound };
+        for bound in config.start_bound..=max_bound {
+            session.extend(tm, bound);
+            let bad = session.bad_at(tm, bound);
+            match session.query(tm, bound, &[bad]) {
+                QueryOutcome::Unreachable => {}
+                QueryOutcome::Counterexample(w) => {
+                    end = BmcResult::Counterexample(w);
+                    break;
+                }
+                QueryOutcome::Unknown(reason) => {
+                    end = BmcResult::Unknown { bound, reason };
+                    break;
+                }
+            }
+        }
+        (end, session.stats())
+    }
+
+    #[test]
+    fn per_depth_bmc_matches_a_hand_driven_session() {
+        // Both verdict polarities, on a plain counter and on the chain
+        // system whose tail frames exercise the per-depth COI refinement.
+        let systems: [fn(&mut TermManager) -> TransitionSystem; 4] = [
+            |tm| counter_system(tm, 8, 5, true),
+            |tm| counter_system(tm, 8, 50, true),
+            |tm| chain_system(tm, 4),
+            |tm| chain_system(tm, 3),
+        ];
+        for (case, build) in systems.iter().enumerate() {
+            for start_bound in [0, 1] {
+                let config = BmcConfig {
+                    start_bound,
+                    ..BmcConfig::default()
+                };
+                let mut tm = TermManager::new();
+                let ts = build(&mut tm);
+                let mut bmc = Bmc::new(config.clone());
+                let got = bmc.check(&mut tm, &ts, 6);
+                let mut tm2 = TermManager::new();
+                let ts2 = build(&mut tm2);
+                let (want, session) = session_loop(&mut tm2, &ts2, &config, 6);
+                match (&got, &want) {
+                    (BmcResult::Counterexample(a), BmcResult::Counterexample(b)) => {
+                        assert_eq!(a.num_steps(), b.num_steps(), "case {case}");
+                    }
+                    (
+                        BmcResult::NoCounterexample { bound: a },
+                        BmcResult::NoCounterexample { bound: b },
+                    ) => assert_eq!(a, b),
+                    other => panic!("verdicts diverge in case {case}: {other:?}"),
+                }
+                let stats = bmc.stats();
+                assert_eq!(stats.conflicts, session.conflicts, "case {case}");
+                assert_eq!(stats.solver.cnf_clauses, session.solver.cnf_clauses);
+                assert_eq!(stats.queries, session.queries);
+                let per_query = |s: &BmcStats| -> Vec<(usize, u64)> {
+                    s.depths.iter().map(|d| (d.bound, d.conflicts)).collect()
+                };
+                assert_eq!(per_query(&stats), per_query(&session), "case {case}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_depth_query_bad_is_the_per_depth_query() {
+        for target in [4u64, 3] {
+            let run = |disjunctive: bool| {
+                let mut tm = TermManager::new();
+                let ts = chain_system(&mut tm, target);
+                let mut session = BmcSession::open(&mut tm, &ts, &BmcConfig::default());
+                let mut steps = Vec::new();
+                for bound in 0..=6 {
+                    session.extend(&mut tm, bound);
+                    let outcome = if disjunctive {
+                        session.query_bad(&mut tm, bound..=bound)
+                    } else {
+                        let bad = session.bad_at(&mut tm, bound);
+                        session.query(&mut tm, bound, &[bad])
+                    };
+                    steps.push(outcome.into_result(bound).witness().map(Witness::num_steps));
+                }
+                let stats = session.stats();
+                (steps, stats.conflicts, stats.solver.cnf_clauses)
+            };
+            assert_eq!(run(true), run(false), "target {target}");
+        }
+    }
+
+    #[test]
+    fn injected_cancellation_reports_the_deepest_queried_bound() {
+        for mode in [BmcMode::PerDepth, BmcMode::PerDepthScratch] {
+            let config = BmcConfig {
+                mode,
+                fault: BmcFaultPlan {
+                    cancel_at_depth: Some(3),
+                    ..BmcFaultPlan::default()
+                },
+                ..BmcConfig::default()
+            };
+            let mut tm = TermManager::new();
+            let ts = counter_system(&mut tm, 8, 50, true);
+            let mut bmc = Bmc::new(config);
+            let result = bmc.check(&mut tm, &ts, 6);
+            assert!(
+                matches!(
+                    result,
+                    BmcResult::Unknown {
+                        bound: 3,
+                        reason: StopReason::Cancelled
+                    }
+                ),
+                "{mode:?}: got {result:?}"
+            );
+            assert_eq!(bmc.stats().deepest_bound, 2, "{mode:?}");
+            assert_eq!(bmc.stats().queries, 3, "{mode:?}");
+        }
+        // A session extended past its last query reports the queried depth.
+        let mut tm = TermManager::new();
+        let ts = counter_system(&mut tm, 8, 50, true);
+        let config = BmcConfig {
+            fault: BmcFaultPlan {
+                cancel_at_depth: Some(3),
+                ..BmcFaultPlan::default()
+            },
+            ..BmcConfig::default()
+        };
+        let (_, stats) = session_loop(&mut tm, &ts, &config, 2);
+        assert_eq!(stats.deepest_bound, 2);
+        let mut session = BmcSession::open(&mut tm, &ts, &config);
+        session.extend(&mut tm, 3);
+        assert_eq!(session.stats().deepest_bound, 0, "no query ran");
     }
 
     #[test]

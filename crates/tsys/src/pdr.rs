@@ -144,11 +144,10 @@ impl Pdr {
 }
 
 /// The live state of one PDR run.
-struct PdrEngine<'ts> {
-    ts: &'ts TransitionSystem,
+struct PdrEngine {
     config: BmcConfig,
     solver: IncrementalSolver,
-    unroller: Unroller<'ts>,
+    unroller: Unroller,
     /// Activation literal guarding the initial-state assertion.
     init_act: TermId,
     not_init_act: TermId,
@@ -165,19 +164,10 @@ struct PdrEngine<'ts> {
     clauses_pushed: u64,
 }
 
-impl<'ts> PdrEngine<'ts> {
-    fn open(tm: &mut TermManager, ts: &'ts TransitionSystem, config: &BmcConfig) -> Self {
+impl PdrEngine {
+    fn open(tm: &mut TermManager, ts: &TransitionSystem, config: &BmcConfig) -> Self {
         let started = Instant::now();
-        let mut solver = IncrementalSolver::new();
-        solver.set_aig(config.aig);
-        solver.set_simplify(config.simplify);
-        solver.set_conflict_limit(config.conflict_limit);
-        solver.set_deadline(config.time_limit.map(|limit| started + limit));
-        solver.set_cancel_flags(config.cancel.clone());
-        solver.set_memory_limit(config.memory_limit);
-        if !config.fault.sat.is_empty() {
-            solver.set_fault_hooks(config.fault.sat);
-        }
+        let mut solver = config.incremental_solver(started);
         let mut unroller = Unroller::new(ts);
         let c0 = unroller.constraints_at(tm, 0);
         solver.assert_term(tm, c0);
@@ -191,7 +181,6 @@ impl<'ts> PdrEngine<'ts> {
         solver.assert_term(tm, guarded);
         let not_init_act = tm.not(init_act);
         PdrEngine {
-            ts,
             config: config.clone(),
             solver,
             unroller,
@@ -287,7 +276,8 @@ impl<'ts> PdrEngine<'ts> {
 
     /// Extracts the full state cube of the model's frame 0.
     fn model_cube(&mut self, tm: &mut TermManager) -> Cube {
-        let vars: Vec<TermId> = self.ts.state_vars().iter().map(|v| v.current).collect();
+        let state_vars = self.unroller.ts().state_vars();
+        let vars: Vec<TermId> = state_vars.iter().map(|v| v.current).collect();
         let mut cube = Vec::with_capacity(vars.len());
         for var in vars {
             let at0 = self.unroller.var_at(tm, var, 0);
@@ -525,7 +515,7 @@ impl<'ts> PdrEngine<'ts> {
             ..self.config.clone()
         };
         let mut bmc = Bmc::new(config);
-        match bmc.check(tm, self.ts, depth_hint) {
+        match bmc.check(tm, self.unroller.ts(), depth_hint) {
             BmcResult::Counterexample(witness) => Ok(BmcResult::Counterexample(witness)),
             BmcResult::Unknown { reason, .. } => Err(Interrupted(reason)),
             // The frames said "reachable", the reference checker says "not

@@ -300,7 +300,7 @@ pub fn verify_certificate(
 pub(crate) fn uniqueness_constraints(
     tm: &mut TermManager,
     ts: &TransitionSystem,
-    unroller: &mut Unroller<'_>,
+    unroller: &mut Unroller,
     k: usize,
 ) -> Vec<TermId> {
     let vars: Vec<TermId> = ts.state_vars().iter().map(|v| v.current).collect();

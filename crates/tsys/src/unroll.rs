@@ -9,27 +9,34 @@ use crate::ts::{CoiInfo, TransitionSystem};
 /// Unrolls a [`TransitionSystem`] into per-frame copies of its variables.
 ///
 /// Frame `k` has one fresh variable per state variable and per input, named
-/// `<original>@<k>`.  The unroller produces the standard BMC constraints:
+/// `<original>@<k>`.  The unroller owns a copy of the system (four vectors
+/// of term ids), so it borrows nothing and can live inside a long-running
+/// session.  It produces the standard BMC constraints:
 ///
 /// * `init`: frame-0 state variables equal their initial values,
 /// * `transition(k)`: frame-`k+1` state variables equal the next-state
 ///   functions evaluated over frame `k`,
 /// * `constraint(k)` / `bad(k)`: the invariant constraints and bad-state
 ///   properties instantiated at frame `k`.
-#[derive(Debug)]
-pub struct Unroller<'a> {
-    ts: &'a TransitionSystem,
+#[derive(Debug, Clone)]
+pub struct Unroller {
+    ts: TransitionSystem,
     /// frame -> (original var -> frame var)
     frame_maps: Vec<HashMap<TermId, TermId>>,
 }
 
-impl<'a> Unroller<'a> {
-    /// Creates an unroller for `ts`.
-    pub fn new(ts: &'a TransitionSystem) -> Self {
+impl Unroller {
+    /// Creates an unroller for (a copy of) `ts`.
+    pub fn new(ts: &TransitionSystem) -> Self {
         Unroller {
-            ts,
+            ts: ts.clone(),
             frame_maps: Vec::new(),
         }
+    }
+
+    /// The unrolled system.
+    pub(crate) fn ts(&self) -> &TransitionSystem {
+        &self.ts
     }
 
     /// Ensures frame `k` variables exist and returns the substitution map of
