@@ -9,10 +9,10 @@
 //!
 //! * the transition system is built **once** with every catalogue entry's
 //!   mutation guarded by a fresh *activation literal*
-//!   ([`QedBuilder::build_catalogue`]) — a free boolean variable that is
-//!   neither a state variable nor an input, so unrolling maps it to itself
-//!   in every frame and one literal switches its mutation on or off across
-//!   the whole trace,
+//!   ([`QedBuilder::build_catalogue`](crate::qed::QedBuilder::build_catalogue))
+//!   — a free boolean variable that is neither a state variable nor an
+//!   input, so unrolling maps it to itself in every frame and one literal
+//!   switches its mutation on or off across the whole trace,
 //! * the unrolling is encoded **once** into one persistent
 //!   [`BmcSession`] (rewriting, pinning,
 //!   cone-of-influence refinement and the AIG layer all run once, and the
@@ -56,15 +56,14 @@ use sepe_processor::Mutation;
 use sepe_smt::{
     one_hot_assumptions, CancelFlag, FaultHooks, SolverReuseStats, StopReason, TermId, TermManager,
 };
-use sepe_tsys::{BmcConfig, BmcFaultPlan, BmcMode, BmcSession, DepthStats, QueryOutcome};
+use sepe_tsys::{BmcConfig, BmcFaultPlan, BmcMode, BmcResult, BmcSession, QueryOutcome};
 
-use crate::detect::{Detection, Detector, DetectorConfig, Method};
+use crate::detect::{Detection, Detector, DetectorConfig, Method, RunTotals};
 use crate::fault::FaultPlan;
 use crate::parallel::{
     panic_message, resume_retry_ladder, run_with_retry, DegradationRung, DetectionJob, JobOutcome,
     JobReport, RetryPolicy, StopReasonTally,
 };
-use crate::qed::{QedBuilder, Scheme};
 
 /// One entry of a mutation catalogue: a labelled bug, with an optional
 /// per-entry fault plan (armed on the shared solver only while this entry's
@@ -194,15 +193,6 @@ pub struct BatchedOutcome {
     pub stats: BatchedStats,
 }
 
-/// Per-entry accumulators across the entry's shared-solver queries.
-#[derive(Debug, Clone, Default)]
-struct EntryAcc {
-    conflicts: u64,
-    runtime: Duration,
-    queries: u64,
-    depths: Vec<DepthStats>,
-}
-
 /// How an entry left the shared session for the per-job path.
 enum Fallback {
     /// The entry's own query failed (panic, budget) and the retry policy
@@ -211,6 +201,49 @@ enum Fallback {
     /// An innocent bystander of a poisoned shared solver: run the job fresh,
     /// from the top of the ladder, with its own fault plan.
     Fresh,
+}
+
+/// The per-entry answers of one batched run, filled in as entries resolve:
+/// each entry gets exactly one final answer or one per-job fallback.
+struct Ledger {
+    detections: Vec<Option<Detection>>,
+    reports: Vec<Option<JobReport>>,
+    /// Entries handed to the per-job path, in hand-off order.
+    fallback: Vec<(usize, Fallback)>,
+}
+
+impl Ledger {
+    /// Records an entry's classified shared-session answer — or, when the
+    /// classified stop is one the retry ladder re-runs and the policy grants
+    /// a retry, hands the entry to the per-job path instead.  `panic` is the
+    /// message of a query that panicked.
+    fn settle(
+        &mut self,
+        i: usize,
+        entry: &CatalogueEntry,
+        detection: Detection,
+        panic: Option<String>,
+        retry: RetryPolicy,
+    ) {
+        let panicked = panic.is_some();
+        let outcome = match (panic, detection.stop_reason) {
+            (Some(message), _) => JobOutcome::Failed { message },
+            (None, Some(reason)) => JobOutcome::Stopped(reason),
+            (None, None) => JobOutcome::Completed,
+        };
+        if retry.max_retries >= 1 && outcome.should_retry() {
+            self.fallback.push((i, Fallback::Resume { panicked }));
+        } else {
+            self.detections[i] = Some(detection);
+            self.reports[i] = Some(JobReport {
+                label: entry.label.clone(),
+                outcome,
+                attempts: 1,
+                panicked_attempts: u32::from(panicked),
+                rung: DegradationRung::Full,
+            });
+        }
+    }
 }
 
 /// The batched multi-bug detector.
@@ -285,15 +318,7 @@ impl BatchedDetector {
         // One build, one encoding: every entry's mutation rides in the same
         // transition system behind its activation literal.
         let helper = Detector::new(self.config.clone());
-        let scheme = match method {
-            Method::Sqed => Scheme::Sqed,
-            Method::SepeSqed => Scheme::Sepe(helper.equivalence_db()),
-        };
-        let builder = QedBuilder {
-            processor: self.config.processor.clone(),
-            original_opcodes: helper.original_opcodes(method),
-            queue_depth: self.config.queue_depth,
-        };
+        let (builder, scheme) = helper.qed(method);
         let mut tm = TermManager::new();
         let mutations: Vec<Mutation> = catalogue.iter().map(|e| e.mutation.clone()).collect();
         let (system, activated) = builder.build_catalogue(&mut tm, &scheme, &mutations);
@@ -302,27 +327,24 @@ impl BatchedDetector {
         let mut chained = self.config.cancel.clone();
         chained.push(batch_cancel.clone());
         let session_config = BmcConfig {
-            conflict_limit: self.config.conflict_limit,
             time_limit: deadline.map(|d| d.saturating_duration_since(start)),
-            start_bound: 1,
             // lock-step depths: shortest counterexamples, like PerDepth
             mode: BmcMode::PerDepth,
-            simplify: self.config.simplify,
-            aig: self.config.aig,
-            frame_rescore: None,
             cancel: chained.clone(),
-            memory_limit: self.config.memory_limit,
             // per-entry faults are armed around individual queries instead
             fault: BmcFaultPlan::default(),
+            ..self.config.bmc_config()
         };
         let mut session = BmcSession::open(&mut tm, &system.ts, &session_config);
         stats.encodes = 1;
 
-        let mut detections: Vec<Option<Detection>> = vec![None; n];
-        let mut reports: Vec<Option<JobReport>> = vec![None; n];
-        let mut acc: Vec<EntryAcc> = vec![EntryAcc::default(); n];
+        let mut ledger = Ledger {
+            detections: vec![None; n],
+            reports: vec![None; n],
+            fallback: Vec::new(),
+        };
+        let mut acc: Vec<RunTotals> = vec![RunTotals::default(); n];
         let mut unresolved: Vec<usize> = (0..n).collect();
-        let mut fallback: Vec<(usize, Fallback)> = Vec::new();
         let mut aborted: Option<StopReason> = None;
         let mut extended = 0usize;
 
@@ -348,196 +370,100 @@ impl BatchedDetector {
                 idx += 1;
                 let entry = &catalogue[i];
                 let fplan = entry.fault.unwrap_or_default();
-                if fplan.cancel_at_depth == Some(bound) {
+                let hooks = fplan.to_bmc().sat;
+                // A panic or a genuine memory breach poisons the shared
+                // solver: every other unresolved entry falls back to a
+                // fresh per-job run.
+                let mut poisoned = false;
+                let mut panic = None;
+                let result = if fplan.cancel_at_depth == Some(bound) {
                     // Entry-level cancellation: resolved here, never
                     // retried (cancellation is a verdict, not a failure).
-                    detections[i] = Some(inconclusive_detection(
-                        method,
-                        entry,
-                        StopReason::Cancelled,
+                    BmcResult::Unknown {
                         bound,
-                        &mut acc[i],
-                    ));
-                    reports[i] = Some(shared_report(
-                        entry,
-                        JobOutcome::Stopped(StopReason::Cancelled),
-                        false,
-                    ));
-                    continue;
-                }
-                let hooks = fplan.to_bmc().sat;
-                if !hooks.is_empty() {
-                    session.solver().set_fault_hooks(hooks);
-                }
-                let bad = session.bad_at(&mut tm, bound);
-                let assumptions = one_hot_assumptions(&mut tm, &acts, i, &[bad]);
-                let result = panic::catch_unwind(AssertUnwindSafe(|| {
-                    session.query(&mut tm, bound, &assumptions)
-                }));
-                if !hooks.is_empty() {
-                    session.solver().set_fault_hooks(FaultHooks::default());
-                }
-                match result {
-                    Err(payload) => {
-                        // The shared solver is poisoned: this entry resumes
-                        // on the ladder (if granted), everyone else still
-                        // unresolved falls back to fresh per-job runs.
-                        stats.queries += 1;
-                        acc[i].queries += 1;
-                        let outcome = JobOutcome::Failed {
-                            message: panic_message(payload.as_ref()),
-                        };
-                        if self.retry.max_retries >= 1 {
-                            fallback.push((i, Fallback::Resume { panicked: true }));
-                        } else {
-                            detections[i] = Some(inconclusive_detection(
-                                method,
-                                entry,
-                                StopReason::Panicked,
-                                bound,
-                                &mut acc[i],
-                            ));
-                            reports[i] = Some(shared_report(entry, outcome, true));
-                        }
-                        for &j in still.iter().chain(&unresolved[idx..]) {
-                            fallback.push((j, Fallback::Fresh));
-                        }
-                        unresolved.clear();
-                        break 'depths;
+                        reason: StopReason::Cancelled,
                     }
-                    Ok(outcome) => {
-                        let q = session.last_query_stats().cloned().unwrap_or_default();
-                        stats.queries += 1;
-                        acc[i].queries += 1;
-                        acc[i].conflicts += q.conflicts;
-                        acc[i].runtime += q.duration;
-                        acc[i].depths.push(q);
-                        match outcome {
-                            QueryOutcome::Counterexample(witness) => {
-                                // Fault hook, then the witness self-check:
-                                // a counterexample that does not replay on
-                                // the concrete twin is a structured failure,
-                                // retried on the per-job ladder if granted.
-                                let witness = if fplan.corrupt_witness {
-                                    crate::selfcheck::corrupt_witness(&witness)
-                                } else {
-                                    witness
-                                };
-                                let validated = self.config.validate_witness.then(|| {
-                                    crate::selfcheck::replay_confirms(
-                                        &self.config.processor,
-                                        Some(&entry.mutation),
-                                        method,
-                                        &witness,
-                                    )
-                                });
-                                if validated == Some(false) {
-                                    if self.retry.max_retries >= 1 {
-                                        fallback.push((i, Fallback::Resume { panicked: false }));
-                                    } else {
-                                        let mut demoted = inconclusive_detection(
-                                            method,
-                                            entry,
-                                            StopReason::WitnessMismatch,
-                                            bound,
-                                            &mut acc[i],
-                                        );
-                                        demoted.witness = Some(witness);
-                                        demoted.witness_validated = Some(false);
-                                        detections[i] = Some(demoted);
-                                        reports[i] = Some(shared_report(
-                                            entry,
-                                            JobOutcome::Stopped(StopReason::WitnessMismatch),
-                                            false,
-                                        ));
-                                    }
+                } else {
+                    if !hooks.is_empty() {
+                        session.solver().set_fault_hooks(hooks);
+                    }
+                    let bad = session.bad_at(&mut tm, bound);
+                    let assumptions = one_hot_assumptions(&mut tm, &acts, i, &[bad]);
+                    let queried = panic::catch_unwind(AssertUnwindSafe(|| {
+                        session.query(&mut tm, bound, &assumptions)
+                    }));
+                    if !hooks.is_empty() {
+                        session.solver().set_fault_hooks(FaultHooks::default());
+                    }
+                    stats.queries += 1;
+                    match queried {
+                        Err(payload) => {
+                            poisoned = true;
+                            panic = Some(panic_message(payload.as_ref()));
+                            BmcResult::Unknown {
+                                bound,
+                                reason: StopReason::Panicked,
+                            }
+                        }
+                        Ok(outcome) => {
+                            let q = session.last_query_stats().cloned().unwrap_or_default();
+                            acc[i].conflicts += q.conflicts;
+                            acc[i].runtime += q.duration;
+                            acc[i].depths.push(q);
+                            match outcome {
+                                QueryOutcome::Counterexample(witness) => {
+                                    BmcResult::Counterexample(witness)
+                                }
+                                QueryOutcome::Unreachable => {
+                                    still.push(i);
                                     continue;
                                 }
-                                detections[i] = Some(Detection {
-                                    method,
-                                    bug: Some(entry.mutation.name.clone()),
-                                    detected: true,
-                                    inconclusive: false,
-                                    stop_reason: None,
-                                    runtime: acc[i].runtime,
-                                    trace_len: Some(witness.num_steps()),
-                                    witness: Some(witness),
-                                    witness_validated: validated,
-                                    proved: false,
-                                    proof_method: None,
-                                    proof_depth: None,
-                                    proof_checked: None,
-                                    proof_work: None,
-                                    bound_reached: bound,
-                                    conflicts: acc[i].conflicts,
-                                    solver: SolverReuseStats::default(),
-                                    depths: std::mem::take(&mut acc[i].depths),
-                                });
-                                reports[i] =
-                                    Some(shared_report(entry, JobOutcome::Completed, false));
-                            }
-                            QueryOutcome::Unreachable => still.push(i),
-                            QueryOutcome::Unknown(
-                                reason @ (StopReason::Cancelled | StopReason::Deadline),
-                            ) => {
-                                // Shared budgets: gone for everyone.
-                                aborted = Some(reason);
-                                still.push(i);
-                                still.extend(unresolved[idx..].iter().copied());
-                                unresolved = still;
-                                break 'depths;
-                            }
-                            QueryOutcome::Unknown(StopReason::MemoryBudget) if hooks.is_empty() => {
-                                // A genuine breach: the shared arena is over
-                                // the cap and every later query would breach
-                                // too — degrade like a poisoning.
-                                if self.retry.max_retries >= 1 {
-                                    fallback.push((i, Fallback::Resume { panicked: false }));
-                                } else {
-                                    detections[i] = Some(inconclusive_detection(
-                                        method,
-                                        entry,
-                                        StopReason::MemoryBudget,
-                                        bound,
-                                        &mut acc[i],
-                                    ));
-                                    reports[i] = Some(shared_report(
-                                        entry,
-                                        JobOutcome::Stopped(StopReason::MemoryBudget),
-                                        false,
-                                    ));
+                                QueryOutcome::Unknown(
+                                    reason @ (StopReason::Cancelled | StopReason::Deadline),
+                                ) => {
+                                    // Shared budgets: gone for everyone.
+                                    aborted = Some(reason);
+                                    still.push(i);
+                                    still.extend(unresolved[idx..].iter().copied());
+                                    unresolved = still;
+                                    break 'depths;
                                 }
-                                for &j in still.iter().chain(&unresolved[idx..]) {
-                                    fallback.push((j, Fallback::Fresh));
-                                }
-                                unresolved.clear();
-                                break 'depths;
-                            }
-                            QueryOutcome::Unknown(reason) => {
-                                // Per-query exhaustion (conflict budget, a
-                                // faked breach): this entry alone stops, or
-                                // resumes on the ladder if granted.
-                                let retryable = JobOutcome::Stopped(reason).should_retry()
-                                    || reason == StopReason::Panicked;
-                                if retryable && self.retry.max_retries >= 1 {
-                                    fallback.push((i, Fallback::Resume { panicked: false }));
-                                } else {
-                                    detections[i] = Some(inconclusive_detection(
-                                        method,
-                                        entry,
-                                        reason,
-                                        bound,
-                                        &mut acc[i],
-                                    ));
-                                    reports[i] = Some(shared_report(
-                                        entry,
-                                        JobOutcome::Stopped(reason),
-                                        false,
-                                    ));
+                                QueryOutcome::Unknown(reason) => {
+                                    // A genuine breach leaves the shared
+                                    // arena over the cap, so every later
+                                    // query would breach too; any other
+                                    // per-query exhaustion (conflict
+                                    // budget, a faked breach) stops this
+                                    // entry alone.
+                                    poisoned =
+                                        reason == StopReason::MemoryBudget && hooks.is_empty();
+                                    BmcResult::Unknown { bound, reason }
                                 }
                             }
                         }
                     }
+                };
+                let totals = RunTotals {
+                    deepest: bound,
+                    ..std::mem::take(&mut acc[i])
+                };
+                let detection = helper.classify(
+                    &mut tm,
+                    &system.ts,
+                    method,
+                    Some(&entry.mutation),
+                    entry.fault,
+                    result,
+                    None,
+                    totals,
+                );
+                ledger.settle(i, entry, detection, panic, self.retry);
+                if poisoned {
+                    for &j in still.iter().chain(&unresolved[idx..]) {
+                        ledger.fallback.push((j, Fallback::Fresh));
+                    }
+                    unresolved.clear();
+                    break 'depths;
                 }
             }
             if aborted.is_some() {
@@ -553,22 +479,7 @@ impl BatchedDetector {
         stats.deepest_bound = bmc_stats.deepest_bound;
         drop(session);
 
-        if let Some(reason) = aborted {
-            for &i in &unresolved {
-                let entry = &catalogue[i];
-                let started = acc[i].queries > 0;
-                detections[i] = Some(inconclusive_detection(
-                    method,
-                    entry,
-                    reason,
-                    extended,
-                    &mut acc[i],
-                ));
-                let mut report = shared_report(entry, JobOutcome::Stopped(reason), false);
-                report.attempts = u32::from(started);
-                reports[i] = Some(report);
-            }
-        } else if self.config.prove.is_some() {
+        if self.config.prove.is_some() && aborted.is_none() {
             // Entries that survived every bound get a dedicated per-entry
             // proof attempt (fresh system, concrete mutation — activation
             // literals would leak into cubes and uniqueness constraints):
@@ -577,64 +488,54 @@ impl BatchedDetector {
             // so prover panics and budget faults degrade instead of
             // poisoning the batch.
             for &i in &unresolved {
-                let entry = &catalogue[i];
-                let job = DetectionJob::new(
-                    entry.label.clone(),
-                    DetectorConfig {
-                        fault: entry.fault,
-                        ..self.config.clone()
-                    },
-                    method,
-                    Some(entry.mutation.clone()),
-                );
+                let job = self.fallback_job(method, &catalogue[i]);
                 let (detection, report) = run_with_retry(&job, batch_cancel, deadline, self.retry);
                 stats.proof_attempts += 1;
                 // Each prover attempt re-encodes the entry's system.
                 stats.encodes += u64::from(report.attempts);
-                detections[i] = Some(detection);
-                reports[i] = Some(report);
+                ledger.detections[i] = Some(detection);
+                ledger.reports[i] = Some(report);
             }
         } else {
-            // Entries that survived every bound: proven clean to the bound.
+            // Entries that survived every bound are clean to the bound;
+            // after a shared abort, they stop where the sweep stopped.
             for &i in &unresolved {
                 let entry = &catalogue[i];
-                detections[i] = Some(Detection {
+                let result = match aborted {
+                    Some(reason) => BmcResult::Unknown {
+                        bound: extended,
+                        reason,
+                    },
+                    None => BmcResult::NoCounterexample {
+                        bound: self.config.max_bound,
+                    },
+                };
+                // An entry the abort caught before its first query never
+                // ran an attempt.
+                let never_ran = aborted.is_some() && acc[i].depths.is_empty();
+                let detection = helper.classify(
+                    &mut tm,
+                    &system.ts,
                     method,
-                    bug: Some(entry.mutation.name.clone()),
-                    detected: false,
-                    inconclusive: false,
-                    stop_reason: None,
-                    runtime: acc[i].runtime,
-                    trace_len: None,
-                    witness: None,
-                    witness_validated: None,
-                    proved: false,
-                    proof_method: None,
-                    proof_depth: None,
-                    proof_checked: None,
-                    proof_work: None,
-                    bound_reached: self.config.max_bound,
-                    conflicts: acc[i].conflicts,
-                    solver: SolverReuseStats::default(),
-                    depths: std::mem::take(&mut acc[i].depths),
-                });
-                reports[i] = Some(shared_report(entry, JobOutcome::Completed, false));
+                    Some(&entry.mutation),
+                    entry.fault,
+                    result,
+                    None,
+                    std::mem::take(&mut acc[i]),
+                );
+                ledger.settle(i, entry, detection, None, self.retry);
+                if never_ran {
+                    if let Some(report) = &mut ledger.reports[i] {
+                        report.attempts = 0;
+                    }
+                }
             }
         }
 
         // Per-job fallback: poisoning bystanders run fresh, failed entries
         // resume the retry ladder one rung down from their shared attempt.
-        for (i, kind) in fallback {
-            let entry = &catalogue[i];
-            let job = DetectionJob::new(
-                entry.label.clone(),
-                DetectorConfig {
-                    fault: entry.fault,
-                    ..self.config.clone()
-                },
-                method,
-                Some(entry.mutation.clone()),
-            );
+        for (i, kind) in ledger.fallback {
+            let job = self.fallback_job(method, &catalogue[i]);
             let (detection, report) = match kind {
                 Fallback::Fresh => run_with_retry(&job, batch_cancel, deadline, self.retry),
                 Fallback::Resume { panicked } => resume_retry_ladder(
@@ -653,15 +554,17 @@ impl BatchedDetector {
             // entries) already paid into `encodes = 1`.
             let shared_attempts = u64::from(matches!(kind, Fallback::Resume { .. }));
             stats.encodes += u64::from(report.attempts).saturating_sub(shared_attempts);
-            detections[i] = Some(detection);
-            reports[i] = Some(report);
+            ledger.detections[i] = Some(detection);
+            ledger.reports[i] = Some(report);
         }
 
-        let reports: Vec<JobReport> = reports
+        let reports: Vec<JobReport> = ledger
+            .reports
             .into_iter()
             .map(|r| r.expect("every entry resolves exactly once"))
             .collect();
-        let detections: Vec<Detection> = detections
+        let detections: Vec<Detection> = ledger
+            .detections
             .into_iter()
             .map(|d| d.expect("every entry resolves exactly once"))
             .collect();
@@ -687,48 +590,20 @@ impl BatchedDetector {
             stats,
         }
     }
-}
 
-/// An inconclusive per-entry detection carrying whatever shared-solver work
-/// the entry accumulated before it stopped.
-fn inconclusive_detection(
-    method: Method,
-    entry: &CatalogueEntry,
-    reason: StopReason,
-    bound: usize,
-    acc: &mut EntryAcc,
-) -> Detection {
-    Detection {
-        method,
-        bug: Some(entry.mutation.name.clone()),
-        detected: false,
-        inconclusive: true,
-        stop_reason: Some(reason),
-        runtime: acc.runtime,
-        trace_len: None,
-        witness: None,
-        witness_validated: None,
-        proved: false,
-        proof_method: None,
-        proof_depth: None,
-        proof_checked: None,
-        proof_work: None,
-        bound_reached: bound,
-        conflicts: acc.conflicts,
-        solver: SolverReuseStats::default(),
-        depths: std::mem::take(&mut acc.depths),
-    }
-}
-
-/// The report of an entry resolved by the shared session (one attempt, full
-/// rung).
-fn shared_report(entry: &CatalogueEntry, outcome: JobOutcome, panicked: bool) -> JobReport {
-    JobReport {
-        label: entry.label.clone(),
-        outcome,
-        attempts: 1,
-        panicked_attempts: u32::from(panicked),
-        rung: DegradationRung::Full,
+    /// A catalogue entry as a per-job detection job under the shared
+    /// configuration, with the entry's own fault plan.
+    fn fallback_job(&self, method: Method, entry: &CatalogueEntry) -> DetectionJob {
+        let config = DetectorConfig {
+            fault: entry.fault,
+            ..self.config.clone()
+        };
+        DetectionJob::new(
+            entry.label.clone(),
+            config,
+            method,
+            Some(entry.mutation.clone()),
+        )
     }
 }
 

@@ -73,8 +73,8 @@ pub struct DetectorConfig {
     /// run with an inconclusive [`Detection`] within a short burst of SAT
     /// conflicts.  Independent cancellation sources chain by each pushing
     /// their own flag: the [`parallel`](crate::parallel) engine *adds* its
-    /// batch/portfolio flag to whatever the caller configured, so a
-    /// caller's flag keeps working inside a batch.
+    /// batch flag to whatever the caller configured, so a caller's flag
+    /// keeps working inside a batch.
     pub cancel: Vec<CancelFlag>,
     /// Caps the estimated SAT clause-arena + watcher bytes per solver
     /// (`None` = unlimited); a run that exceeds the cap comes back
@@ -132,6 +132,24 @@ impl Default for DetectorConfig {
 }
 
 impl DetectorConfig {
+    /// The model-checker configuration of a run: budgets, solver knobs,
+    /// cancellation flags and the fault plan, starting at bound 1 (the
+    /// initial state is consistent by construction).
+    pub(crate) fn bmc_config(&self) -> BmcConfig {
+        BmcConfig {
+            conflict_limit: self.conflict_limit,
+            time_limit: self.time_limit,
+            start_bound: 1,
+            mode: self.bmc_mode,
+            simplify: self.simplify,
+            aig: self.aig,
+            frame_rescore: None,
+            cancel: self.cancel.clone(),
+            memory_limit: self.memory_limit,
+            fault: self.fault.map(FaultPlan::to_bmc).unwrap_or_default(),
+        }
+    }
+
     /// Starts a builder over the default configuration.  The struct fields
     /// stay public — the builder is the ergonomic front for the common
     /// "defaults plus a few knobs" case:
@@ -318,8 +336,12 @@ pub struct Detection {
     pub bound_reached: usize,
     /// Total SAT conflicts spent by the model checker.
     pub conflicts: u64,
-    /// Solver-reuse counters of the model-checking run (all zero for the
-    /// scratch/cumulative modes, which build fresh solvers per query).
+    /// Solver counters of the model-checking run: encoding, checks,
+    /// conflicts, propagations and search time in every mode; the
+    /// learnt-clause counters stay zero in the scratch/cumulative modes,
+    /// which build a fresh solver per query.  All zero for an entry a
+    /// batched session resolved: the shared solver reports in
+    /// [`BatchedStats::solver`](crate::batch::BatchedStats::solver).
     pub solver: sepe_smt::SolverReuseStats,
     /// Per-query solver-work deltas, one entry per SAT query in issue order
     /// (one per depth in the per-depth BMC modes).  The cumulative counters
@@ -330,6 +352,36 @@ pub struct Detection {
 }
 
 impl Detection {
+    /// A detection with no verdict yet: the run's method, bug and solver
+    /// work, every verdict field cleared.  Every other [`Detection`] is
+    /// built from this one.
+    pub(crate) fn unresolved(
+        method: Method,
+        mutation: Option<&Mutation>,
+        totals: RunTotals,
+    ) -> Detection {
+        Detection {
+            method,
+            bug: mutation.map(|m| m.name.clone()),
+            detected: false,
+            inconclusive: false,
+            stop_reason: None,
+            runtime: totals.runtime,
+            trace_len: None,
+            witness: None,
+            witness_validated: None,
+            proved: false,
+            proof_method: None,
+            proof_depth: None,
+            proof_checked: None,
+            proof_work: None,
+            bound_reached: totals.deepest,
+            conflicts: totals.conflicts,
+            solver: totals.solver,
+            depths: totals.depths,
+        }
+    }
+
     /// Formats the runtime like the paper's tables (seconds, or "-" when the
     /// bug was not detected).
     pub fn table_cell(&self) -> String {
@@ -341,14 +393,16 @@ impl Detection {
     }
 }
 
-/// Aggregate solver-work totals of one model-checking (or prover) run,
-/// flattened to what [`Detection`] reports.
-struct RunTotals {
-    runtime: Duration,
-    deepest: usize,
-    conflicts: u64,
-    solver: sepe_smt::SolverReuseStats,
-    depths: Vec<sepe_tsys::DepthStats>,
+/// Aggregate solver-work totals of one model-checking (or prover) run —
+/// or of one batched entry's shared-solver queries — flattened to what
+/// [`Detection`] reports.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RunTotals {
+    pub(crate) runtime: Duration,
+    pub(crate) deepest: usize,
+    pub(crate) conflicts: u64,
+    pub(crate) solver: sepe_smt::SolverReuseStats,
+    pub(crate) depths: Vec<sepe_tsys::DepthStats>,
 }
 
 /// Runs detection experiments.
@@ -394,9 +448,10 @@ impl Detector {
         }
     }
 
-    /// Runs one method against one (optional) injected bug.
-    pub fn check(&self, method: Method, mutation: Option<&Mutation>) -> Detection {
-        let mut tm = TermManager::new();
+    /// The QED builder and scheme of a method: the processor, the method's
+    /// original-instruction universe and (for SEPE-SQED) the equivalence
+    /// database.
+    pub(crate) fn qed(&self, method: Method) -> (QedBuilder, Scheme) {
         let scheme = match method {
             Method::Sqed => Scheme::Sqed,
             Method::SepeSqed => Scheme::Sepe(self.equivalence_db()),
@@ -406,23 +461,16 @@ impl Detector {
             original_opcodes: self.original_opcodes(method),
             queue_depth: self.config.queue_depth,
         };
+        (builder, scheme)
+    }
+
+    /// Runs one method against one (optional) injected bug.
+    pub fn check(&self, method: Method, mutation: Option<&Mutation>) -> Detection {
+        let mut tm = TermManager::new();
+        let (builder, scheme) = self.qed(method);
         let system = builder.build(&mut tm, &scheme, mutation);
-        let bmc_config = BmcConfig {
-            conflict_limit: self.config.conflict_limit,
-            time_limit: self.config.time_limit,
-            // the initial state is consistent by construction, start at 1
-            start_bound: 1,
-            // default: one cumulative query over all depths (fastest when a
-            // counterexample exists); per-depth modes guarantee shortest
-            // counterexamples and enable incremental solver reuse
-            mode: self.config.bmc_mode,
-            simplify: self.config.simplify,
-            aig: self.config.aig,
-            frame_rescore: None,
-            cancel: self.config.cancel.clone(),
-            memory_limit: self.config.memory_limit,
-            fault: self.config.fault.map(FaultPlan::to_bmc).unwrap_or_default(),
-        };
+        let bmc_config = self.config.bmc_config();
+        let fault = self.config.fault;
         if let Some(prover) = self.config.prove {
             let run = match prover {
                 ProofMethod::KInduction => {
@@ -440,17 +488,20 @@ impl Detector {
                 depths: Vec::new(),
             };
             let work = run.stats;
-            let mut detection = self.classify(
+            let detection = self.classify(
                 &mut tm,
                 &system.ts,
                 method,
                 mutation,
+                fault,
                 run.result,
                 run.certificate,
                 totals,
             );
-            detection.proof_work = Some(work);
-            return detection;
+            return Detection {
+                proof_work: Some(work),
+                ..detection
+            };
         }
         let mut bmc = Bmc::new(bmc_config);
         let result = bmc.check(&mut tm, &system.ts, self.config.max_bound);
@@ -462,30 +513,36 @@ impl Detector {
             solver: stats.solver,
             depths: stats.depths.clone(),
         };
-        self.classify(&mut tm, &system.ts, method, mutation, result, None, totals)
+        self.classify(
+            &mut tm, &system.ts, method, mutation, fault, result, None, totals,
+        )
     }
 
     /// Turns a raw model-checking (or prover) result into a [`Detection`],
-    /// running the witness and certificate self-checks on the way.
+    /// running the witness and certificate self-checks on the way — the one
+    /// place a verdict is decided, for per-job runs and batched entries
+    /// alike.  `fault` is the run's fault plan (its corruption hooks make
+    /// the demotion paths deterministically testable).
     #[allow(clippy::too_many_arguments)]
-    fn classify(
+    pub(crate) fn classify(
         &self,
         tm: &mut TermManager,
         ts: &TransitionSystem,
         method: Method,
         mutation: Option<&Mutation>,
+        fault: Option<FaultPlan>,
         result: BmcResult,
         certificate: Option<ProofCertificate>,
         totals: RunTotals,
     ) -> Detection {
-        let bug = mutation.map(|m| m.name.clone());
+        let fault = fault.unwrap_or_default();
+        let base = Detection::unresolved(method, mutation, totals);
         match result {
             BmcResult::Counterexample(witness) => {
-                // Fault hook: hand the self-check a corrupted witness so the
-                // demotion path is deterministically testable.
-                let witness = match self.config.fault {
-                    Some(f) if f.corrupt_witness => crate::selfcheck::corrupt_witness(&witness),
-                    _ => witness,
+                let witness = if fault.corrupt_witness {
+                    crate::selfcheck::corrupt_witness(&witness)
+                } else {
+                    witness
                 };
                 let validated = self.config.validate_witness.then(|| {
                     crate::selfcheck::replay_confirms(
@@ -495,152 +552,57 @@ impl Detector {
                         &witness,
                     )
                 });
-                if validated == Some(false) {
-                    // The solver's counterexample does not reproduce on the
-                    // concrete twin: a structured failure, not a bug report.
-                    return Detection {
-                        method,
-                        bug,
-                        detected: false,
-                        inconclusive: true,
-                        stop_reason: Some(StopReason::WitnessMismatch),
-                        runtime: totals.runtime,
-                        trace_len: None,
-                        witness: Some(witness),
-                        witness_validated: Some(false),
-                        proved: false,
-                        proof_method: None,
-                        proof_depth: None,
-                        proof_checked: None,
-                        proof_work: None,
-                        bound_reached: totals.deepest,
-                        conflicts: totals.conflicts,
-                        solver: totals.solver,
-                        depths: totals.depths,
-                    };
-                }
+                // A counterexample that does not reproduce on the concrete
+                // twin is a structured failure, not a bug report.
+                let mismatch = validated == Some(false);
                 Detection {
-                    method,
-                    bug,
-                    detected: true,
-                    inconclusive: false,
-                    stop_reason: None,
-                    runtime: totals.runtime,
-                    trace_len: Some(witness.num_steps()),
+                    detected: !mismatch,
+                    inconclusive: mismatch,
+                    stop_reason: mismatch.then_some(StopReason::WitnessMismatch),
+                    trace_len: (!mismatch).then(|| witness.num_steps()),
                     witness: Some(witness),
                     witness_validated: validated,
-                    proved: false,
-                    proof_method: None,
-                    proof_depth: None,
-                    proof_checked: None,
-                    proof_work: None,
-                    bound_reached: totals.deepest,
-                    conflicts: totals.conflicts,
-                    solver: totals.solver,
-                    depths: totals.depths,
+                    ..base
                 }
             }
             BmcResult::Proved {
                 method: prover,
                 depth,
             } => {
-                // Fault hook: hand the self-check a corrupted certificate so
-                // the demotion path is deterministically testable.
-                let certificate = match self.config.fault {
-                    Some(f) if f.corrupt_proof => certificate
+                let certificate = if fault.corrupt_proof {
+                    certificate
                         .as_ref()
-                        .map(|cert| corrupt_certificate(tm, cert)),
-                    _ => certificate,
+                        .map(|cert| corrupt_certificate(tm, cert))
+                } else {
+                    certificate
                 };
                 let checked = self.config.validate_proof.then(|| {
                     certificate
                         .as_ref()
                         .is_some_and(|cert| verify_certificate(tm, ts, cert).is_ok())
                 });
-                if checked == Some(false) {
-                    // The prover's certificate does not re-verify on an
-                    // independent solver: a structured failure, not a proof.
-                    return Detection {
-                        method,
-                        bug,
-                        detected: false,
-                        inconclusive: true,
-                        stop_reason: Some(StopReason::ProofMismatch),
-                        runtime: totals.runtime,
-                        trace_len: None,
-                        witness: None,
-                        witness_validated: None,
-                        proved: false,
-                        proof_method: Some(prover),
-                        proof_depth: Some(depth),
-                        proof_checked: Some(false),
-                        proof_work: None,
-                        bound_reached: totals.deepest,
-                        conflicts: totals.conflicts,
-                        solver: totals.solver,
-                        depths: totals.depths,
-                    };
-                }
+                // A certificate that does not re-verify on an independent
+                // solver is a structured failure, not a proof.
+                let mismatch = checked == Some(false);
                 Detection {
-                    method,
-                    bug,
-                    detected: false,
-                    inconclusive: false,
-                    stop_reason: None,
-                    runtime: totals.runtime,
-                    trace_len: None,
-                    witness: None,
-                    witness_validated: None,
-                    proved: true,
+                    inconclusive: mismatch,
+                    stop_reason: mismatch.then_some(StopReason::ProofMismatch),
+                    proved: !mismatch,
                     proof_method: Some(prover),
                     proof_depth: Some(depth),
                     proof_checked: checked,
-                    proof_work: None,
-                    bound_reached: totals.deepest,
-                    conflicts: totals.conflicts,
-                    solver: totals.solver,
-                    depths: totals.depths,
+                    ..base
                 }
             }
             BmcResult::NoCounterexample { bound } => Detection {
-                method,
-                bug,
-                detected: false,
-                inconclusive: false,
-                stop_reason: None,
-                runtime: totals.runtime,
-                trace_len: None,
-                witness: None,
-                witness_validated: None,
-                proved: false,
-                proof_method: None,
-                proof_depth: None,
-                proof_checked: None,
-                proof_work: None,
                 bound_reached: bound,
-                conflicts: totals.conflicts,
-                solver: totals.solver,
-                depths: totals.depths,
+                ..base
             },
             BmcResult::Unknown { bound, reason } => Detection {
-                method,
-                bug,
-                detected: false,
                 inconclusive: true,
                 stop_reason: Some(reason),
-                runtime: totals.runtime,
-                trace_len: None,
-                witness: None,
-                witness_validated: None,
-                proved: false,
-                proof_method: None,
-                proof_depth: None,
-                proof_checked: None,
-                proof_work: None,
                 bound_reached: bound,
-                conflicts: totals.conflicts,
-                solver: totals.solver,
-                depths: totals.depths,
+                ..base
             },
         }
     }

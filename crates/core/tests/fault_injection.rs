@@ -14,9 +14,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use sepe_isa::Opcode;
-use sepe_processor::ProcessorConfig;
+use sepe_processor::{Mutation, ProcessorConfig};
 use sepe_smt::{CancelFlag, StopReason};
-use sepe_sqed::detect::{DetectorConfig, Method};
+use sepe_sqed::batch::{BatchedDetector, CatalogueEntry};
+use sepe_sqed::detect::{Detector, DetectorConfig, Method};
 use sepe_sqed::fault::FaultPlan;
 use sepe_sqed::parallel::{DegradationRung, DetectionJob, Engine, JobOutcome, RetryPolicy};
 use sepe_tsys::BmcMode;
@@ -404,5 +405,83 @@ fn seeded_fault_plans_reproduce_across_worker_counts() {
             sequential.stats.stop_reasons, parallel.stats.stop_reasons,
             "seed {seed}: stop-reason tallies diverge"
         );
+    }
+}
+
+/// The SEPE-SQED ADD-bug configuration of the batched differential suite:
+/// the first two Table-1 bugs' shared opcode universe plus ADDI, per-depth
+/// to bound 3, where SEPE-SQED detects the ADD bug with a shortest trace.
+fn add_bug_setup() -> (DetectorConfig, Mutation) {
+    let bugs: Vec<Mutation> = Mutation::table1().into_iter().take(2).collect();
+    let mut ops = vec![Opcode::Addi];
+    ops.extend(bugs.iter().filter_map(|b| b.target_opcode()));
+    ops.sort();
+    ops.dedup();
+    let config = DetectorConfig::builder()
+        .processor(ProcessorConfig::tiny().with_opcodes(&ops))
+        .bound(3)
+        .bmc_mode(BmcMode::PerDepth)
+        .build();
+    (config, bugs[0].clone())
+}
+
+#[test]
+fn a_corrupted_witness_is_demoted_alike_by_the_per_job_and_batched_paths() {
+    let (config, bug) = add_bug_setup();
+    let corrupt = FaultPlan::corrupt_witness();
+    let job = |config: &DetectorConfig| {
+        let config = DetectorConfig {
+            fault: Some(corrupt),
+            ..config.clone()
+        };
+        DetectionJob::new("add", config, Method::SepeSqed, Some(bug.clone()))
+    };
+    let entry = [CatalogueEntry::new("add", bug.clone()).with_fault(corrupt)];
+
+    // No retries: the replay of the corrupted trace fails, and both paths
+    // report the same structured failure instead of a bug.
+    let solo = Detector::new(job(&config).config).check(Method::SepeSqed, Some(&bug));
+    let per_job = Engine::new(1).run(vec![job(&config)]).expect_jobs();
+    let batched = BatchedDetector::new(config.clone()).run(Method::SepeSqed, &entry);
+    for (path, d) in [
+        ("detector", &solo),
+        ("engine", &per_job.detections[0]),
+        ("batched", &batched.detections[0]),
+    ] {
+        assert!(!d.detected, "{path}: a mismatched witness is no bug report");
+        assert!(d.inconclusive, "{path}");
+        assert_eq!(d.stop_reason, Some(StopReason::WitnessMismatch), "{path}");
+        assert_eq!(d.witness_validated, Some(false), "{path}");
+        assert!(d.witness.is_some(), "{path}: the rejected witness is kept");
+        assert_eq!(d.trace_len, None, "{path}");
+        assert_eq!(d.bound_reached, solo.bound_reached, "{path}: bound");
+    }
+    assert_eq!(per_job.stats.stop_reasons.witness_mismatch, 1);
+    assert_eq!(per_job.stats.witness_mismatches, 1);
+    assert_eq!(batched.stats.stop_reasons.witness_mismatch, 1);
+    assert_eq!(batched.stats.witness_mismatches, 1);
+    assert_eq!(batched.stats.fallbacks, 0);
+
+    // One retry: the fault applies to the first attempt only, so the
+    // aig_off rung replays a genuine witness and recovers the detection.
+    let clean = Detector::new(config.clone()).check(Method::SepeSqed, Some(&bug));
+    assert!(clean.detected, "SEPE-SQED detects the ADD bug at bound 3");
+    let per_job = Engine::new(1)
+        .with_retry_policy(RetryPolicy::ladder(1))
+        .run(vec![job(&config)])
+        .expect_jobs();
+    let batched = BatchedDetector::new(config)
+        .with_retry_policy(RetryPolicy::ladder(1))
+        .run(Method::SepeSqed, &entry);
+    for (path, d, r) in [
+        ("engine", &per_job.detections[0], &per_job.reports[0]),
+        ("batched", &batched.detections[0], &batched.reports[0]),
+    ] {
+        assert!(d.detected, "{path}: the retry must recover the detection");
+        assert_eq!(d.witness_validated, Some(true), "{path}");
+        assert_eq!(d.trace_len, clean.trace_len, "{path}: trace length");
+        assert_eq!(r.outcome, JobOutcome::Completed, "{path}");
+        assert_eq!(r.attempts, 2, "{path}: attempts");
+        assert_eq!(r.rung, DegradationRung::AigOff, "{path}: rung");
     }
 }

@@ -1,13 +1,14 @@
 //! Integration tests of the parallel detection engine: determinism across
-//! worker counts, prompt global cancellation, and portfolio
-//! first-finisher-wins agreement.
+//! worker counts, prompt global cancellation, and verdict agreement across
+//! the solver knobs.
 
 use std::time::{Duration, Instant};
 
 use sepe_isa::Opcode;
 use sepe_processor::{Mutation, ProcessorConfig};
 use sepe_sqed::detect::{Detector, DetectorConfig, Method};
-use sepe_sqed::parallel::{BatchSpec, DetectionJob, Engine, PortfolioArm};
+use sepe_sqed::parallel::{DetectionJob, Engine};
+use sepe_tsys::BmcMode;
 
 /// A fast per-bug configuration: tiny processor, the bug's target opcode
 /// plus ADDI, shallow bound.  Small enough that the whole Table-1 mutation
@@ -119,80 +120,76 @@ fn global_deadline_stops_all_workers_promptly() {
     );
 }
 
-#[test]
-fn portfolio_first_finisher_matches_every_arm_run_alone() {
-    // The clean design is consistent, so every arm must conclude UNSAT up
-    // to the bound; whichever arm finishes first, the portfolio's verdict
-    // has to agree with each arm run by itself.
-    let job = DetectionJob::new(
-        "clean",
-        DetectorConfig {
-            processor: ProcessorConfig::tiny().with_opcodes(&[Opcode::Add, Opcode::Xori]),
-            max_bound: 2,
-            ..DetectorConfig::default()
-        },
-        Method::Sqed,
-        None,
-    );
-    let arms = PortfolioArm::standard();
-    let outcome = Engine::new(arms.len())
-        .run(BatchSpec::portfolio(job.clone(), arms.clone()))
-        .expect_portfolio();
-    assert!(outcome.winner < arms.len());
-    assert!(!outcome.detection.detected);
-    assert!(!outcome.detection.inconclusive);
-    assert_eq!(outcome.arms.len(), arms.len());
-    for (i, arm) in arms.iter().enumerate() {
-        assert_eq!(outcome.arms[i].arm, arm.name, "arm results out of order");
-        // Each arm alone, sequentially, with the same knobs.
-        let mut config = job.config.clone();
-        config.bmc_mode = arm.bmc_mode;
-        config.simplify = arm.simplify;
-        config.aig = arm.aig;
-        let alone = Detector::new(config).check(job.method, None);
-        assert!(
-            !alone.detected && !alone.inconclusive,
-            "arm {} diverges from its solo run",
-            arm.name
+/// Four configurations that change *how* a query is solved without changing
+/// *what* it decides: the per-depth pipeline, its AIG-off and rewrite-off
+/// ablations, and the cumulative single-query mode.
+fn knob_configs(base: &DetectorConfig) -> Vec<(&'static str, DetectorConfig)> {
+    [
+        ("per_depth", BmcMode::PerDepth, true, true),
+        ("per_depth_aig_off", BmcMode::PerDepth, true, false),
+        ("per_depth_norewrite", BmcMode::PerDepth, false, true),
+        ("cumulative", BmcMode::Cumulative, true, true),
+    ]
+    .into_iter()
+    .map(|(name, bmc_mode, simplify, aig)| {
+        let config = DetectorConfig {
+            bmc_mode,
+            simplify,
+            aig,
+            ..base.clone()
+        };
+        (name, config)
+    })
+    .collect()
+}
+
+/// Runs one query under every knob configuration as ordinary engine jobs,
+/// asserts each job's verdict is `detected` and matches the configuration's
+/// solo `Detector::check`.
+fn assert_knobs_agree(base: DetectorConfig, method: Method, bug: Option<Mutation>, detected: bool) {
+    let configs = knob_configs(&base);
+    let jobs: Vec<DetectionJob> = configs
+        .iter()
+        .map(|(name, config)| DetectionJob::new(*name, config.clone(), method, bug.clone()))
+        .collect();
+    let outcome = Engine::new(configs.len()).run(jobs).expect_jobs();
+    assert_eq!(outcome.detections.len(), configs.len());
+    for (i, (name, config)) in configs.iter().enumerate() {
+        assert_eq!(outcome.reports[i].label, *name, "results out of order");
+        let d = &outcome.detections[i];
+        assert_eq!(d.detected, detected, "{name} gives the wrong verdict");
+        assert!(!d.inconclusive, "{name} must conclude");
+        let alone = Detector::new(config.clone()).check(method, bug.as_ref());
+        assert_eq!(
+            (alone.detected, alone.inconclusive),
+            (d.detected, d.inconclusive),
+            "{name} diverges from its solo run"
         );
-        assert_eq!(alone.detected, outcome.detection.detected);
     }
 }
 
 #[test]
+fn solver_knobs_agree_on_a_clean_design() {
+    // The clean design is consistent, so every configuration must conclude
+    // UNSAT up to the bound, in the engine and alone.
+    let base = DetectorConfig {
+        processor: ProcessorConfig::tiny().with_opcodes(&[Opcode::Add, Opcode::Xori]),
+        max_bound: 2,
+        ..DetectorConfig::default()
+    };
+    assert_knobs_agree(base, Method::Sqed, None, false);
+}
+
+#[test]
 #[ignore = "long formal check on a single-CPU host; run with cargo test -- --ignored"]
-fn portfolio_detects_a_real_bug_and_agrees_with_the_arms() {
-    // A detected (SAT) verdict through the portfolio: the ADD off-by-one
-    // bug is visible to SEPE-SQED within bound 4.
+fn solver_knobs_agree_on_a_real_bug() {
+    // A detected (SAT) verdict: the ADD off-by-one bug is visible to
+    // SEPE-SQED within bound 4 under every configuration.
+    let base = DetectorConfig {
+        processor: ProcessorConfig::tiny().with_opcodes(&[Opcode::Add, Opcode::Addi]),
+        max_bound: 4,
+        ..DetectorConfig::default()
+    };
     let bug = Mutation::table1()[0].clone();
-    let job = DetectionJob::new(
-        "add-bug",
-        DetectorConfig {
-            processor: ProcessorConfig::tiny().with_opcodes(&[Opcode::Add, Opcode::Addi]),
-            max_bound: 4,
-            ..DetectorConfig::default()
-        },
-        Method::SepeSqed,
-        Some(bug),
-    );
-    let arms = PortfolioArm::standard();
-    let outcome = Engine::new(arms.len())
-        .run(BatchSpec::portfolio(job.clone(), arms.clone()))
-        .expect_portfolio();
-    assert!(
-        outcome.detection.detected,
-        "the portfolio must find the bug"
-    );
-    for (i, arm) in arms.iter().enumerate() {
-        let mut config = job.config.clone();
-        config.bmc_mode = arm.bmc_mode;
-        config.simplify = arm.simplify;
-        config.aig = arm.aig;
-        let alone = Detector::new(config).check(job.method, job.mutation.as_ref());
-        assert!(
-            alone.detected,
-            "arm {} misses the bug its portfolio found",
-            arms[i].name
-        );
-    }
+    assert_knobs_agree(base, Method::SepeSqed, Some(bug), true);
 }

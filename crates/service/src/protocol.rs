@@ -320,6 +320,24 @@ pub struct DoneStats {
     pub proof_mismatches: u64,
 }
 
+impl DoneStats {
+    /// Adds another stream's counters to these.
+    pub(crate) fn absorb(&mut self, other: &DoneStats) {
+        self.jobs += other.jobs;
+        self.from_cache += other.from_cache;
+        self.computed += other.computed;
+        self.encodes += other.encodes;
+        self.witness_validations += other.witness_validations;
+        self.witness_mismatches += other.witness_mismatches;
+        self.retries += other.retries;
+        self.degraded_runs += other.degraded_runs;
+        self.panics += other.panics;
+        self.cancelled += other.cancelled;
+        self.proved += other.proved;
+        self.proof_mismatches += other.proof_mismatches;
+    }
+}
+
 /// A server reply.
 #[derive(Debug, Clone)]
 pub enum Reply {

@@ -671,19 +671,7 @@ fn handle_submit(
                         bump!(shared, cancelled_requests);
                     }
                 }
-                WorkerMsg::Finished(computed) => {
-                    done.jobs += computed.jobs;
-                    done.computed += computed.computed;
-                    done.encodes += computed.encodes;
-                    done.witness_validations += computed.witness_validations;
-                    done.witness_mismatches += computed.witness_mismatches;
-                    done.retries += computed.retries;
-                    done.degraded_runs += computed.degraded_runs;
-                    done.panics += computed.panics;
-                    done.cancelled += computed.cancelled;
-                    done.proved += computed.proved;
-                    done.proof_mismatches += computed.proof_mismatches;
-                }
+                WorkerMsg::Finished(computed) => done.absorb(&computed),
             }
         }
     }
@@ -810,7 +798,8 @@ fn run_ticket(shared: &Shared, ticket: Ticket) {
         stream_verdict(shared, &ticket, entry, verdict);
         computed.jobs += 1;
         computed.computed += 1;
-        computed.encodes += 1; // one transition-system encoding charged per computed entry
+        // Every attempt up the retry ladder builds its own encoding.
+        computed.encodes += u64::from(outcome.reports[0].attempts);
         computed.witness_validations += outcome.stats.witness_validations;
         computed.witness_mismatches += outcome.stats.witness_mismatches;
         computed.retries += outcome.stats.retries;

@@ -202,6 +202,23 @@ fn batched_catalogue_runs_and_caches_per_entry() {
 }
 
 #[test]
+fn per_entry_retries_are_charged_one_encode_per_attempt() {
+    // A one-conflict budget stops the first attempt; the default
+    // `ladder(1)` retry re-encodes the job, and the done counters must
+    // charge that second encoding too.
+    let server = start_server("retry-encodes", |_| {});
+    let request = SubmitRequest {
+        conflict_limit: Some(1),
+        ..clean_request(&["single-sub"])
+    };
+    let out = server.client().submit(&request).unwrap();
+    assert_eq!(out.done.computed, 1);
+    assert!(out.done.retries >= 1, "the budget stop must be retried");
+    assert_eq!(out.done.encodes, out.done.computed + out.done.retries);
+    server.stop();
+}
+
+#[test]
 fn overload_is_shed_with_busy_and_a_retrying_client_gets_through() {
     let server = start_server("overload", |c| {
         c.job_workers = 1;
