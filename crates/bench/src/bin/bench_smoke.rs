@@ -39,7 +39,7 @@
 //!
 //! The parallel batch also feeds a `robustness` entry — retries taken,
 //! degraded re-runs, panics absorbed, and stopped-job tallies by stop
-//! reason, straight from the engine's `BatchStats`.  A healthy run reports
+//! reason, straight from the engine's `OutcomeTally`.  A healthy run reports
 //! all zeros; the entry exists so the CI artifact history makes any
 //! engine-level recovery activity visible at a glance.  Also outside the
 //! regression gate.
@@ -81,7 +81,7 @@ use serde::{Serialize, Value};
 use sepe_bench::{jobs_from_args, sweep};
 use sepe_smt::SolverReuseStats;
 use sepe_sqed::detect::Method;
-use sepe_sqed::parallel::{BatchSpec, Engine};
+use sepe_sqed::parallel::{BatchSpec, Engine, OutcomeTally};
 use sepe_tsys::BmcMode;
 
 /// Wall-time regression tolerance against the checked-in baseline (loose:
@@ -184,46 +184,25 @@ struct ParallelResult {
     speedup: f64,
 }
 
-/// Robustness counters of the parallel batch, straight out of
-/// [`BatchStats`](sepe_sqed::BatchStats): retries taken, degraded re-runs,
-/// panics absorbed, and the per-reason tally of stopped jobs.  On a healthy
-/// smoke run every counter is zero — the entry exists so the uploaded
-/// artifact proves the fault-tolerance layer saw no work, and a nonzero
-/// value in CI history is immediately visible.  Not part of the regression
-/// gate.
-#[derive(Debug, Clone, Serialize)]
-struct RobustnessResult {
-    retries: u64,
-    degraded_runs: u64,
-    panics: u64,
-    witness_validations: u64,
-    witness_mismatches: u64,
-    stop_deadline: u64,
-    stop_conflict_budget: u64,
-    stop_memory_budget: u64,
-    stop_cancelled: u64,
-    stop_panicked: u64,
-    stop_witness_mismatch: u64,
-    stop_proof_mismatch: u64,
-}
-
-impl RobustnessResult {
-    fn new(stats: &sepe_sqed::BatchStats) -> RobustnessResult {
-        RobustnessResult {
-            retries: stats.retries,
-            degraded_runs: stats.degraded_runs,
-            panics: stats.panics,
-            witness_validations: stats.witness_validations,
-            witness_mismatches: stats.witness_mismatches,
-            stop_deadline: stats.stop_reasons.deadline,
-            stop_conflict_budget: stats.stop_reasons.conflict_budget,
-            stop_memory_budget: stats.stop_reasons.memory_budget,
-            stop_cancelled: stats.stop_reasons.cancelled,
-            stop_panicked: stats.stop_reasons.panicked,
-            stop_witness_mismatch: stats.stop_reasons.witness_mismatch,
-            stop_proof_mismatch: stats.stop_reasons.proof_mismatch,
-        }
-    }
+/// Robustness counters of the parallel batch, straight out of its
+/// [`OutcomeTally`]: retries taken, degraded re-runs, panics absorbed,
+/// witness replays, and the per-reason tally of stopped jobs (as
+/// `stop_<reason>`).  On a healthy smoke run every counter is zero — the
+/// entry exists so the uploaded artifact proves the fault-tolerance layer
+/// saw no work, and a nonzero value in CI history is immediately visible.
+/// Not part of the regression gate.
+fn robustness(tally: &OutcomeTally) -> Value {
+    let flat = [
+        ("retries", tally.retries),
+        ("degraded_runs", tally.degraded_runs),
+        ("panics", tally.panics),
+        ("witness_validations", tally.witness_validations),
+        ("witness_mismatches", tally.witness_mismatches),
+    ]
+    .map(|(name, n)| (name.to_string(), Value::UInt(n)));
+    let stops = tally.stop_reasons.counters();
+    let stops = stops.map(|(name, n)| (format!("stop_{name}"), Value::UInt(n)));
+    Value::Object(flat.into_iter().chain(stops).collect())
 }
 
 /// The service-cache arm: cold vs hot submits through the full service
@@ -519,7 +498,7 @@ struct SmokeReport {
     opcode: String,
     modes: Vec<ModeResult>,
     parallel: ParallelResult,
-    robustness: RobustnessResult,
+    robustness: Value,
     batched: BatchedResult,
     service_cache: ServiceCacheResult,
     proofs: ProofsResult,
@@ -621,7 +600,7 @@ fn main() {
         throughput: perjob_clauses as f64 / (bstats.solver.cnf_clauses.max(1)) as f64,
         encode_ratio: BATCHED_ENTRIES as f64 / (bstats.encodes.max(1)) as f64,
     };
-    let robustness = RobustnessResult::new(&par.stats);
+    let robustness = robustness(&par.stats.tally);
     let parallel = ParallelResult {
         batch_jobs: BATCH_COPIES,
         // The effective count (the engine clamps to the batch size), not
@@ -699,16 +678,13 @@ fn main() {
         report.parallel.workers,
         report.parallel.speedup,
     );
+    let tally = &par.stats.tally;
     println!(
         "  robustness: {} retries, {} degraded, {} panics, {} stopped jobs",
-        report.robustness.retries,
-        report.robustness.degraded_runs,
-        report.robustness.panics,
-        report.robustness.stop_deadline
-            + report.robustness.stop_conflict_budget
-            + report.robustness.stop_memory_budget
-            + report.robustness.stop_cancelled
-            + report.robustness.stop_panicked,
+        tally.retries,
+        tally.degraded_runs,
+        tally.panics,
+        tally.stop_reasons.total(),
     );
     println!(
         "  batched catalogue ({} entries): {:>9.1} ms, {} queries, {} encodes, {} fallbacks, \

@@ -62,7 +62,7 @@ use crate::detect::{Detection, Detector, DetectorConfig, Method, RunTotals};
 use crate::fault::FaultPlan;
 use crate::parallel::{
     panic_message, resume_retry_ladder, run_with_retry, DegradationRung, DetectionJob, JobOutcome,
-    JobReport, RetryPolicy, StopReasonTally,
+    JobReport, OutcomeTally, RetryPolicy,
 };
 
 /// One entry of a mutation catalogue: a labelled bug, with an optional
@@ -125,34 +125,12 @@ pub struct BatchedStats {
     /// SAT conflicts spent by the shared solver (fallback runs not
     /// included; their conflicts are in the per-entry detections).
     pub shared_conflicts: u64,
-    /// Retry attempts across all entries (attempts beyond each entry's
-    /// first).
-    pub retries: u64,
-    /// Entries whose final attempt ran below [`DegradationRung::Full`].
-    pub degraded_runs: u64,
-    /// Attempts that panicked and were caught.
-    pub panics: u64,
-    /// Entries that ended inconclusive because a cancellation flag was
-    /// raised.
-    pub cancelled: u64,
-    /// Final-outcome tallies by stop reason (completed entries are not
-    /// tallied).
-    pub stop_reasons: StopReasonTally,
-    /// Concrete witness replays performed on final counterexamples.
-    pub witness_validations: u64,
-    /// Replays whose final verdict was a mismatch (the entry was demoted to
-    /// [`StopReason::WitnessMismatch`] instead of reporting a wrong bug).
-    pub witness_mismatches: u64,
     /// Per-entry unbounded-prover runs dispatched for entries that survived
     /// the shared bounded phase (prove mode only).
     pub proof_attempts: u64,
-    /// Entries whose final verdict was `Proved` — clean at *every* depth,
-    /// certificate checked.
-    pub proved: u64,
-    /// Certificates whose independent-solver self-check failed (the entry
-    /// was demoted to [`StopReason::ProofMismatch`] instead of reporting a
-    /// wrong proof).
-    pub proof_mismatches: u64,
+    /// How the entries ended: retries, degraded runs, panics,
+    /// cancellations, witness and proof self-checks, stop reasons.
+    pub tally: OutcomeTally,
     /// The shared session's solver-reuse counters: one encoding's worth of
     /// CNF (`cnf_vars`/`cnf_clauses`), cache hits across queries, learnt
     /// clauses retained between them.
@@ -172,8 +150,8 @@ impl fmt::Display for BatchedStats {
             self.encodes,
             self.fallbacks,
             self.shared_conflicts,
-            self.retries,
-            self.panics,
+            self.tally.retries,
+            self.tally.panics,
         )
     }
 }
@@ -569,19 +547,7 @@ impl BatchedDetector {
             .map(|d| d.expect("every entry resolves exactly once"))
             .collect();
         for (detection, report) in detections.iter().zip(&reports) {
-            stats.retries += u64::from(report.attempts.saturating_sub(1));
-            stats.degraded_runs += u64::from(report.rung != DegradationRung::Full);
-            stats.panics += u64::from(report.panicked_attempts);
-            if let Some(reason) = report.outcome.stop_reason() {
-                stats.stop_reasons.record(reason);
-            }
-            stats.cancelled += u64::from(
-                detection.inconclusive && detection.stop_reason == Some(StopReason::Cancelled),
-            );
-            stats.witness_validations += u64::from(detection.witness_validated.is_some());
-            stats.witness_mismatches += u64::from(detection.witness_validated == Some(false));
-            stats.proved += u64::from(detection.proved);
-            stats.proof_mismatches += u64::from(detection.proof_checked == Some(false));
+            stats.tally.record(detection, report, false);
         }
         stats.wall = start.elapsed();
         BatchedOutcome {
@@ -671,7 +637,7 @@ mod tests {
         assert_eq!(cancelled.stop_reason, Some(StopReason::Cancelled));
         let neighbour = &outcome.detections[1];
         assert!(!neighbour.inconclusive, "the neighbour completes normally");
-        assert_eq!(outcome.stats.cancelled, 1);
+        assert_eq!(outcome.stats.tally.cancelled, 1);
         assert_eq!(outcome.stats.encodes, 1, "no fallback for a cancellation");
     }
 
@@ -684,7 +650,7 @@ mod tests {
             entry.fault = Some(FaultPlan::cancel_at(2));
         }
         let outcome = BatchedDetector::new(config).run(Method::Sqed, &catalogue);
-        assert_eq!(outcome.stats.cancelled, 2);
+        assert_eq!(outcome.stats.tally.cancelled, 2);
         assert_eq!(outcome.stats.queries, 2, "one query per entry at depth 1");
         assert_eq!(outcome.stats.deepest_bound, 1);
     }

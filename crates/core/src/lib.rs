@@ -62,5 +62,5 @@ pub use fault::FaultPlan;
 pub use mapping::RegisterMapping;
 pub use parallel::{
     BatchOutcome, BatchSpec, BatchStats, DegradationRung, DetectionJob, Engine, EngineOutcome,
-    JobOutcome, JobReport, RetryPolicy, StopReasonTally,
+    JobOutcome, JobReport, OutcomeTally, RetryPolicy, StopReasonTally,
 };

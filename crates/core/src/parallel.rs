@@ -29,7 +29,9 @@
 //! cancelled, inconclusive [`Detection`]s.
 //!
 //! Per-job [`SolverReuseStats`] are aggregated into a [`BatchStats`] so a
-//! batch reports the same counters the sequential drivers print.
+//! batch reports the same counters the sequential drivers print; how each
+//! job ended is counted by the same [`OutcomeTally`] the batched detector
+//! and the service use.
 //!
 //! # Example
 //!
@@ -254,31 +256,30 @@ pub struct JobReport {
     pub rung: DegradationRung,
 }
 
-/// Final-outcome tallies by [`StopReason`] — how many jobs of a batch ended
-/// on each non-verdict path.  Jobs that completed are not tallied.
+/// Final-outcome tallies by [`StopReason`] — how many entries ended on each
+/// non-verdict path.  Entries that completed are not tallied.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StopReasonTally {
-    /// Jobs that ran out of wall-clock budget.
+    /// Entries that ran out of wall-clock budget.
     pub deadline: u64,
-    /// Jobs that ran out of SAT conflict budget.
+    /// Entries that ran out of SAT conflict budget.
     pub conflict_budget: u64,
-    /// Jobs that breached the SAT memory cap.
+    /// Entries that breached the SAT memory cap.
     pub memory_budget: u64,
-    /// Jobs cancelled through a shared flag.
+    /// Entries cancelled through a flag.
     pub cancelled: u64,
-    /// Jobs whose final attempt panicked.
+    /// Entries whose final attempt panicked.
     pub panicked: u64,
-    /// Jobs whose final counterexample failed the concrete witness
+    /// Entries whose final counterexample failed the concrete witness
     /// self-check (the verdict was demoted instead of reported).
     pub witness_mismatch: u64,
-    /// Jobs whose final proof certificate failed the independent-solver
+    /// Entries whose final proof certificate failed the independent-solver
     /// self-check (the `Proved` verdict was demoted instead of reported).
     pub proof_mismatch: u64,
 }
 
 impl StopReasonTally {
-    /// Bumps the counter for a reason.
-    pub fn record(&mut self, reason: StopReason) {
+    fn record(&mut self, reason: StopReason) {
         match reason {
             StopReason::Deadline => self.deadline += 1,
             StopReason::ConflictBudget => self.conflict_budget += 1,
@@ -290,15 +291,124 @@ impl StopReasonTally {
         }
     }
 
-    /// Total jobs tallied (the batch's non-verdict count).
+    /// Each counter with its name, in declaration order.
+    pub fn counters(&self) -> [(&'static str, u64); 7] {
+        let mut copy = *self;
+        copy.counters_mut().map(|(name, n)| (name, *n))
+    }
+
+    fn counters_mut(&mut self) -> [(&'static str, &mut u64); 7] {
+        [
+            ("deadline", &mut self.deadline),
+            ("conflict_budget", &mut self.conflict_budget),
+            ("memory_budget", &mut self.memory_budget),
+            ("cancelled", &mut self.cancelled),
+            ("panicked", &mut self.panicked),
+            ("witness_mismatch", &mut self.witness_mismatch),
+            ("proof_mismatch", &mut self.proof_mismatch),
+        ]
+    }
+
+    /// Total entries tallied (the non-verdict count).
     pub fn total(&self) -> u64 {
-        self.deadline
-            + self.conflict_budget
-            + self.memory_budget
-            + self.cancelled
-            + self.panicked
-            + self.witness_mismatch
-            + self.proof_mismatch
+        self.counters().iter().map(|&(_, n)| n).sum()
+    }
+}
+
+/// How a set of entries ended — one batch, one service request, or a
+/// server's lifetime.  Every engine mode and the service count final
+/// answers through this one type: [`record`](Self::record) counts one
+/// entry and [`absorb`](Self::absorb) merges two tallies.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OutcomeTally {
+    /// Concrete witness replays performed on final counterexamples (the
+    /// self-check of [`DetectorConfig::validate_witness`]).
+    pub witness_validations: u64,
+    /// Replays whose final verdict was a mismatch — the counterexample did
+    /// not reproduce and the entry was demoted to
+    /// [`StopReason::WitnessMismatch`].
+    pub witness_mismatches: u64,
+    /// Retry attempts (attempts beyond each entry's first).
+    pub retries: u64,
+    /// Entries whose *final* attempt ran below the
+    /// [`DegradationRung::Full`] rung (the answer, conclusive or not, came
+    /// from a degraded configuration).
+    pub degraded_runs: u64,
+    /// Attempts that panicked and were caught (workers survive panics, so
+    /// this can exceed the failed-entry count when retries also panic).
+    pub panics: u64,
+    /// Entries that ended inconclusive because they were cancelled: stop
+    /// reason [`StopReason::Cancelled`] from any flag (the batch's, the
+    /// entry's own, a service request's), or — in
+    /// [`BatchSpec::Jobs`] mode — any stop once the engine's global budget
+    /// flag was raised.
+    pub cancelled: u64,
+    /// Entries whose final verdict was `Proved` — clean at *every* depth,
+    /// certificate checked.
+    pub proved: u64,
+    /// Certificates whose independent-solver self-check failed (the entry
+    /// was demoted to [`StopReason::ProofMismatch`] instead of reporting a
+    /// wrong proof).
+    pub proof_mismatches: u64,
+    /// Final-outcome tallies by stop reason (entries that completed are not
+    /// tallied).
+    pub stop_reasons: StopReasonTally,
+}
+
+impl OutcomeTally {
+    /// Counts one entry's final answer.  `budget_cut` says the engine's
+    /// global budget flag was raised by the time the entry ended (jobs
+    /// mode only; see [`cancelled`](Self::cancelled)).
+    pub fn record(&mut self, detection: &Detection, report: &JobReport, budget_cut: bool) {
+        let cancelled = budget_cut || detection.stop_reason == Some(StopReason::Cancelled);
+        self.witness_validations += u64::from(detection.witness_validated.is_some());
+        self.witness_mismatches += u64::from(detection.witness_validated == Some(false));
+        self.retries += u64::from(report.attempts.saturating_sub(1));
+        self.degraded_runs += u64::from(report.rung != DegradationRung::Full);
+        self.panics += u64::from(report.panicked_attempts);
+        self.cancelled += u64::from(detection.inconclusive && cancelled);
+        self.proved += u64::from(detection.proved);
+        self.proof_mismatches += u64::from(detection.proof_checked == Some(false));
+        if let Some(reason) = report.outcome.stop_reason() {
+            self.stop_reasons.record(reason);
+        }
+    }
+
+    /// Adds another tally's counters to these.
+    pub fn absorb(&mut self, other: &OutcomeTally) {
+        fn add<const N: usize>(mine: [(&str, &mut u64); N], theirs: [(&str, u64); N]) {
+            for ((_, mine), (_, theirs)) in mine.into_iter().zip(theirs) {
+                *mine += theirs;
+            }
+        }
+        add(self.counters_mut(), other.counters());
+        add(
+            self.stop_reasons.counters_mut(),
+            other.stop_reasons.counters(),
+        );
+    }
+
+    /// Each counter outside [`stop_reasons`](Self::stop_reasons) with its
+    /// name, in declaration order — the keys the service reports them
+    /// under.
+    pub fn counters(&self) -> [(&'static str, u64); 8] {
+        let mut copy = *self;
+        copy.counters_mut().map(|(name, n)| (name, *n))
+    }
+
+    /// [`counters`](Self::counters), writable in place (a decoder fills a
+    /// tally through it).
+    pub fn counters_mut(&mut self) -> [(&'static str, &mut u64); 8] {
+        [
+            ("witness_validations", &mut self.witness_validations),
+            ("witness_mismatches", &mut self.witness_mismatches),
+            ("retries", &mut self.retries),
+            ("degraded_runs", &mut self.degraded_runs),
+            ("panics", &mut self.panics),
+            ("cancelled", &mut self.cancelled),
+            ("proved", &mut self.proved),
+            ("proof_mismatches", &mut self.proof_mismatches),
+        ]
     }
 }
 
@@ -317,49 +427,23 @@ pub struct BatchStats {
     /// Longest single job — the lower bound on batch wall time no worker
     /// count can beat.
     pub job_wall_max: Duration,
-    /// Jobs that ended inconclusive because the shared cancellation flag
-    /// was raised (global budget expiry).
-    pub cancelled: u64,
     /// Total SAT conflicts across all jobs.
     pub conflicts: u64,
-    /// Retry attempts across all jobs (attempts beyond each job's first).
-    pub retries: u64,
-    /// Jobs whose *final* attempt ran below the [`DegradationRung::Full`]
-    /// rung (i.e. the answer, conclusive or not, came from a degraded
-    /// configuration).
-    pub degraded_runs: u64,
-    /// Attempts that panicked and were caught (workers survive panics, so
-    /// this can exceed the failed-job count when retries also panic).
-    pub panics: u64,
-    /// Final-outcome tallies by stop reason (jobs that completed are not
-    /// tallied).
-    pub stop_reasons: StopReasonTally,
-    /// Concrete witness replays performed on final counterexamples (the
-    /// self-check of [`DetectorConfig::validate_witness`]).
-    pub witness_validations: u64,
-    /// Replays whose final verdict was a mismatch — the counterexample did
-    /// not reproduce and the job was demoted.
-    pub witness_mismatches: u64,
+    /// How the jobs ended: retries, degraded runs, panics, cancellations,
+    /// witness and proof self-checks, stop reasons.
+    pub tally: OutcomeTally,
     /// Per-job solver-reuse counters, summed (encode/rewrite/AIG work,
     /// learnt-database reduction, CNF sizes).
     pub solver: SolverReuseStats,
 }
 
 impl BatchStats {
-    fn absorb_job(&mut self, detection: &Detection, report: &JobReport, cancelled: bool) {
+    fn absorb_job(&mut self, detection: &Detection, report: &JobReport, budget_cut: bool) {
         self.jobs += 1;
         self.job_wall_total += detection.runtime;
         self.job_wall_max = self.job_wall_max.max(detection.runtime);
-        self.cancelled += u64::from(cancelled);
         self.conflicts += detection.conflicts;
-        self.retries += u64::from(report.attempts.saturating_sub(1));
-        self.degraded_runs += u64::from(report.rung != DegradationRung::Full);
-        self.panics += u64::from(report.panicked_attempts);
-        if let Some(reason) = report.outcome.stop_reason() {
-            self.stop_reasons.record(reason);
-        }
-        self.witness_validations += u64::from(detection.witness_validated.is_some());
-        self.witness_mismatches += u64::from(detection.witness_validated == Some(false));
+        self.tally.record(detection, report, budget_cut);
         self.solver.absorb(&detection.solver);
     }
 }
@@ -375,11 +459,11 @@ impl fmt::Display for BatchStats {
             self.wall.as_secs_f64(),
             self.job_wall_total.as_secs_f64(),
             self.job_wall_max.as_secs_f64(),
-            self.cancelled,
+            self.tally.cancelled,
             self.conflicts,
-            self.retries,
-            self.degraded_runs,
-            self.panics,
+            self.tally.retries,
+            self.tally.degraded_runs,
+            self.tally.panics,
         )
     }
 }
@@ -577,8 +661,8 @@ impl Engine {
             workers,
             ..BatchStats::default()
         };
-        for (i, detection, report, cancelled) in rx {
-            stats.absorb_job(&detection, &report, cancelled);
+        for (i, detection, report, budget_cut) in rx {
+            stats.absorb_job(&detection, &report, budget_cut);
             detections[i] = Some(detection);
             reports[i] = Some(report);
         }
@@ -664,7 +748,7 @@ fn worker_loop(
             return;
         }
         let job = &jobs[i];
-        let (detection, report, cancelled) = if cancel.load(Ordering::Relaxed) {
+        let (detection, report) = if cancel.load(Ordering::Relaxed) {
             // The budget expired before this job started: report it
             // cancelled without building a detector at all.
             let report = JobReport {
@@ -679,13 +763,12 @@ fn worker_loop(
                 stop_reason: Some(StopReason::Cancelled),
                 ..Detection::unresolved(job.method, job.mutation.as_ref(), RunTotals::default())
             };
-            (stub, report, true)
+            (stub, report)
         } else {
-            let (detection, report) = run_with_retry(job, cancel, deadline, retry);
-            let cancelled = detection.inconclusive && cancel.load(Ordering::Relaxed);
-            (detection, report, cancelled)
+            run_with_retry(job, cancel, deadline, retry)
         };
-        if tx.send((i, detection, report, cancelled)).is_err() {
+        let budget_cut = cancel.load(Ordering::Relaxed);
+        if tx.send((i, detection, report, budget_cut)).is_err() {
             return; // receiver gone — nothing left to report to
         }
     }
@@ -881,7 +964,7 @@ mod tests {
         assert_eq!(outcome.detections[1].method, Method::SepeSqed);
         assert!(outcome.detections.iter().all(|d| !d.detected));
         assert_eq!(outcome.stats.jobs, 2);
-        assert_eq!(outcome.stats.cancelled, 0);
+        assert_eq!(outcome.stats.tally.cancelled, 0);
         assert_eq!(outcome.stats.workers, 1);
     }
 

@@ -128,13 +128,13 @@ fn a_faulted_entry_leaves_neighbour_verdicts_bit_identical() {
         .expect_jobs();
     let clean = &reference.detections[0];
 
-    assert_eq!(batched.stats.panics, 1, "the bomb fired exactly once");
+    assert_eq!(batched.stats.tally.panics, 1, "the bomb fired exactly once");
     assert_eq!(
         batched.stats.fallbacks, 3,
         "the failed entry resumes, both bystanders run fresh"
     );
     assert_eq!(
-        batched.stats.retries, 1,
+        batched.stats.tally.retries, 1,
         "only the failed entry takes a second attempt"
     );
     assert_eq!(

@@ -89,15 +89,15 @@ fn every_stop_reason_is_exercised_deterministically() {
                 reason => assert_eq!(r.outcome, JobOutcome::Stopped(*reason)),
             }
         }
-        let tally = outcome.stats.stop_reasons;
+        let tally = outcome.stats.tally.stop_reasons;
         assert_eq!(tally.deadline, 1);
         assert_eq!(tally.conflict_budget, 1);
         assert_eq!(tally.memory_budget, 1);
         assert_eq!(tally.cancelled, 1);
         assert_eq!(tally.panicked, 1);
         assert_eq!(tally.total(), 5);
-        assert_eq!(outcome.stats.panics, 1);
-        assert_eq!(outcome.stats.retries, 0, "no retry policy configured");
+        assert_eq!(outcome.stats.tally.panics, 1);
+        assert_eq!(outcome.stats.tally.retries, 0, "no retry policy configured");
     }
 
     // The whole classification is deterministic across worker counts: same
@@ -152,7 +152,7 @@ fn a_panicking_job_does_not_poison_the_batch() {
         assert_eq!(c.trace_len, f.trace_len);
         assert_eq!(clean.reports[i].outcome, faulted.reports[i].outcome);
     }
-    assert_eq!(faulted.stats.panics, 1);
+    assert_eq!(faulted.stats.tally.panics, 1);
 }
 
 #[test]
@@ -171,9 +171,9 @@ fn retry_ladder_recovers_a_panicking_job_one_rung_down() {
     let d = &outcome.detections[0];
     assert!(!d.detected && !d.inconclusive, "the retry must conclude");
     assert_eq!(d.stop_reason, None);
-    assert_eq!(outcome.stats.retries, 1);
-    assert_eq!(outcome.stats.degraded_runs, 1);
-    assert_eq!(outcome.stats.panics, 1);
+    assert_eq!(outcome.stats.tally.retries, 1);
+    assert_eq!(outcome.stats.tally.degraded_runs, 1);
+    assert_eq!(outcome.stats.tally.panics, 1);
 }
 
 #[test]
@@ -193,7 +193,7 @@ fn persistent_fault_exhausts_the_ladder_or_is_dodged_by_degradation() {
     assert_eq!(report.attempts, 2);
     assert_eq!(report.panicked_attempts, 2);
     assert_eq!(report.rung, DegradationRung::AigOff);
-    assert_eq!(short.stats.stop_reasons.panicked, 1);
+    assert_eq!(short.stats.tally.stop_reasons.panicked, 1);
 
     let full = Engine::new(1)
         .with_retry_policy(RetryPolicy::ladder(3))
@@ -204,8 +204,8 @@ fn persistent_fault_exhausts_the_ladder_or_is_dodged_by_degradation() {
     assert_eq!(report.attempts, 4);
     assert_eq!(report.panicked_attempts, 3);
     assert_eq!(report.rung, DegradationRung::ScratchHalfBound);
-    assert_eq!(full.stats.retries, 3);
-    assert_eq!(full.stats.degraded_runs, 1);
+    assert_eq!(full.stats.tally.retries, 3);
+    assert_eq!(full.stats.tally.degraded_runs, 1);
 }
 
 #[test]
@@ -217,7 +217,7 @@ fn budget_exhaustion_is_retried_but_cancellation_is_not() {
         .expect_jobs();
     assert_eq!(outcome.reports[0].outcome, JobOutcome::Completed);
     assert_eq!(outcome.reports[0].attempts, 2);
-    assert_eq!(outcome.stats.retries, 1);
+    assert_eq!(outcome.stats.tally.retries, 1);
 
     // Cancellation is a verdict about the batch — never retried.
     let outcome = Engine::new(1)
@@ -229,7 +229,7 @@ fn budget_exhaustion_is_retried_but_cancellation_is_not() {
         JobOutcome::Stopped(StopReason::Cancelled)
     );
     assert_eq!(outcome.reports[0].attempts, 1);
-    assert_eq!(outcome.stats.retries, 0);
+    assert_eq!(outcome.stats.tally.retries, 0);
 }
 
 #[test]
@@ -255,7 +255,7 @@ fn a_callers_cancel_flag_chains_with_the_batch_flag() {
     assert!(outcome.detections[1].inconclusive);
     assert_eq!(outcome.reports[2].outcome, JobOutcome::Completed);
     // The private flag must not leak into the other jobs.
-    assert_eq!(outcome.stats.stop_reasons.cancelled, 1);
+    assert_eq!(outcome.stats.tally.stop_reasons.cancelled, 1);
     assert!(
         private.load(Ordering::Relaxed),
         "nobody lowers caller flags"
@@ -334,7 +334,7 @@ fn faults_inside_the_provers_classify_and_isolate_identically() {
             assert_eq!(c.conflicts, f.conflicts, "conflicts diverge on job {i}");
             assert_eq!(c.bound_reached, f.bound_reached);
         }
-        assert_eq!(outcome.stats.panics, 1);
+        assert_eq!(outcome.stats.tally.panics, 1);
     }
 
     // jobs = 1 and jobs = 4 classify bit-identically.
@@ -398,11 +398,11 @@ fn seeded_fault_plans_reproduce_across_worker_counts() {
             );
         }
         assert_eq!(
-            sequential.stats.retries, parallel.stats.retries,
+            sequential.stats.tally.retries, parallel.stats.tally.retries,
             "seed {seed}: retry totals diverge"
         );
         assert_eq!(
-            sequential.stats.stop_reasons, parallel.stats.stop_reasons,
+            sequential.stats.tally.stop_reasons, parallel.stats.tally.stop_reasons,
             "seed {seed}: stop-reason tallies diverge"
         );
     }
@@ -456,10 +456,10 @@ fn a_corrupted_witness_is_demoted_alike_by_the_per_job_and_batched_paths() {
         assert_eq!(d.trace_len, None, "{path}");
         assert_eq!(d.bound_reached, solo.bound_reached, "{path}: bound");
     }
-    assert_eq!(per_job.stats.stop_reasons.witness_mismatch, 1);
-    assert_eq!(per_job.stats.witness_mismatches, 1);
-    assert_eq!(batched.stats.stop_reasons.witness_mismatch, 1);
-    assert_eq!(batched.stats.witness_mismatches, 1);
+    assert_eq!(per_job.stats.tally.stop_reasons.witness_mismatch, 1);
+    assert_eq!(per_job.stats.tally.witness_mismatches, 1);
+    assert_eq!(batched.stats.tally.stop_reasons.witness_mismatch, 1);
+    assert_eq!(batched.stats.tally.witness_mismatches, 1);
     assert_eq!(batched.stats.fallbacks, 0);
 
     // One retry: the fault applies to the first attempt only, so the

@@ -2,12 +2,16 @@
 //! worker counts, prompt global cancellation, and verdict agreement across
 //! the solver knobs.
 
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sepe_isa::Opcode;
 use sepe_processor::{Mutation, ProcessorConfig};
+use sepe_smt::{CancelFlag, StopReason};
+use sepe_sqed::batch::CatalogueEntry;
 use sepe_sqed::detect::{Detector, DetectorConfig, Method};
-use sepe_sqed::parallel::{DetectionJob, Engine};
+use sepe_sqed::parallel::{BatchSpec, DetectionJob, Engine};
 use sepe_tsys::BmcMode;
 
 /// A fast per-bug configuration: tiny processor, the bug's target opcode
@@ -71,8 +75,8 @@ fn four_workers_match_one_worker_on_the_table1_mutation_set() {
             "search diverges on job {i} — worker state is leaking between jobs"
         );
     }
-    assert_eq!(sequential.stats.cancelled, 0);
-    assert_eq!(parallel.stats.cancelled, 0);
+    assert_eq!(sequential.stats.tally.cancelled, 0);
+    assert_eq!(parallel.stats.tally.cancelled, 0);
 }
 
 #[test]
@@ -115,9 +119,52 @@ fn global_deadline_stops_all_workers_promptly() {
         );
     }
     assert!(
-        outcome.stats.cancelled >= 1,
+        outcome.stats.tally.cancelled >= 1,
         "at least the in-flight jobs must report as cancelled"
     );
+}
+
+#[test]
+fn an_own_cancel_flag_counts_alike_on_the_jobs_and_catalogue_paths() {
+    // The job's own flag is raised before the run: both engine modes stop
+    // the entry inconclusive as `Cancelled` and must count it the same way.
+    let bug = Mutation::table1()[0].clone();
+    let flag: CancelFlag = Arc::new(AtomicBool::new(true));
+    let config = DetectorConfig {
+        processor: ProcessorConfig::tiny().with_opcodes(&[Opcode::Add, Opcode::Addi]),
+        max_bound: 3,
+        bmc_mode: BmcMode::PerDepth,
+        cancel: vec![flag],
+        ..DetectorConfig::default()
+    };
+    let engine = Engine::new(1);
+    let job = DetectionJob::new(
+        "own-flag",
+        config.clone(),
+        Method::SepeSqed,
+        Some(bug.clone()),
+    );
+    let jobs = engine.run(vec![job]).expect_jobs();
+    let entries = vec![CatalogueEntry::new("own-flag", bug)];
+    let catalogue = engine
+        .run(BatchSpec::catalogue(Method::SepeSqed, config, entries))
+        .expect_catalogue();
+    for (path, detection, tally) in [
+        ("jobs", &jobs.detections[0], &jobs.stats.tally),
+        (
+            "catalogue",
+            &catalogue.detections[0],
+            &catalogue.stats.tally,
+        ),
+    ] {
+        assert!(detection.inconclusive, "{path}: the flag stops the run");
+        assert_eq!(detection.stop_reason, Some(StopReason::Cancelled), "{path}");
+        assert_eq!(tally.cancelled, 1, "{path}: cancelled");
+        assert_eq!(
+            tally.stop_reasons.cancelled, 1,
+            "{path}: stop_reasons.cancelled"
+        );
+    }
 }
 
 /// Four configurations that change *how* a query is solved without changing

@@ -36,6 +36,7 @@ use sepe_isa::Opcode;
 use sepe_processor::{Mutation, ProcessorConfig};
 use sepe_sqed::detect::{Detection, Method};
 use sepe_sqed::fault::FaultPlan;
+use sepe_sqed::OutcomeTally;
 use sepe_tsys::{ProofMethod, Witness};
 use serde::Value;
 
@@ -301,23 +302,13 @@ pub struct DoneStats {
     pub computed: u64,
     /// Transition-system encodings paid for the computed entries.
     pub encodes: u64,
-    /// Witness replays performed.
-    pub witness_validations: u64,
-    /// Witness replays that mismatched (verdicts demoted).
-    pub witness_mismatches: u64,
-    /// Retry attempts beyond each entry's first.
-    pub retries: u64,
-    /// Entries whose final attempt ran degraded.
-    pub degraded_runs: u64,
-    /// Attempts that panicked and were caught.
-    pub panics: u64,
-    /// Entries cancelled through a flag.
-    pub cancelled: u64,
-    /// Entries whose verdict was `proved` (unbounded prover converged).
-    pub proved: u64,
-    /// Certificates that failed the independent self-check (verdicts
-    /// demoted to proof-mismatch).
-    pub proof_mismatches: u64,
+    /// How the computed entries ended (cache hits add nothing).  Its
+    /// `cancelled` counts entries that ended inconclusive as cancelled —
+    /// through the request's own flag, a server drain, or a dead reply
+    /// stream — alike on the batched and per-entry paths.  Its
+    /// `stop_reasons` block stays server-side: a decoded frame reads zeros
+    /// there.
+    pub tally: OutcomeTally,
 }
 
 impl DoneStats {
@@ -327,14 +318,7 @@ impl DoneStats {
         self.from_cache += other.from_cache;
         self.computed += other.computed;
         self.encodes += other.encodes;
-        self.witness_validations += other.witness_validations;
-        self.witness_mismatches += other.witness_mismatches;
-        self.retries += other.retries;
-        self.degraded_runs += other.degraded_runs;
-        self.panics += other.panics;
-        self.cancelled += other.cancelled;
-        self.proved += other.proved;
-        self.proof_mismatches += other.proof_mismatches;
+        self.tally.absorb(&other.tally);
     }
 }
 
@@ -797,21 +781,17 @@ pub fn encode_reply(reply: &Reply) -> Vec<u8> {
             }
             Value::Object(fields)
         }
-        Reply::Done(d) => obj(vec![
-            ("reply", string("done")),
-            ("jobs", Value::UInt(d.jobs)),
-            ("from_cache", Value::UInt(d.from_cache)),
-            ("computed", Value::UInt(d.computed)),
-            ("encodes", Value::UInt(d.encodes)),
-            ("witness_validations", Value::UInt(d.witness_validations)),
-            ("witness_mismatches", Value::UInt(d.witness_mismatches)),
-            ("retries", Value::UInt(d.retries)),
-            ("degraded_runs", Value::UInt(d.degraded_runs)),
-            ("panics", Value::UInt(d.panics)),
-            ("cancelled", Value::UInt(d.cancelled)),
-            ("proved", Value::UInt(d.proved)),
-            ("proof_mismatches", Value::UInt(d.proof_mismatches)),
-        ]),
+        Reply::Done(d) => {
+            let mut fields = vec![
+                ("reply", string("done")),
+                ("jobs", Value::UInt(d.jobs)),
+                ("from_cache", Value::UInt(d.from_cache)),
+                ("computed", Value::UInt(d.computed)),
+                ("encodes", Value::UInt(d.encodes)),
+            ];
+            fields.extend(d.tally.counters().map(|(k, n)| (k, Value::UInt(n))));
+            obj(fields)
+        }
     };
     render(&v)
 }
@@ -835,20 +815,23 @@ pub fn decode_reply(payload: &[u8]) -> Result<Reply, ProtocolError> {
             let cached = need_bool(&v, "cached")?;
             Ok(Reply::Verdict(verdict_from_core(&v, cached)?))
         }
-        "done" => Ok(Reply::Done(DoneStats {
-            jobs: need_u64(&v, "jobs")?,
-            from_cache: need_u64(&v, "from_cache")?,
-            computed: need_u64(&v, "computed")?,
-            encodes: need_u64(&v, "encodes")?,
-            witness_validations: need_u64(&v, "witness_validations")?,
-            witness_mismatches: need_u64(&v, "witness_mismatches")?,
-            retries: need_u64(&v, "retries")?,
-            degraded_runs: need_u64(&v, "degraded_runs")?,
-            panics: need_u64(&v, "panics")?,
-            cancelled: need_u64(&v, "cancelled")?,
-            proved: maybe_u64(&v, "proved")?.unwrap_or(0),
-            proof_mismatches: maybe_u64(&v, "proof_mismatches")?.unwrap_or(0),
-        })),
+        "done" => {
+            let mut tally = OutcomeTally::default();
+            for (key, n) in tally.counters_mut() {
+                // Frames from before the prover lack its two counters.
+                *n = match key {
+                    "proved" | "proof_mismatches" => maybe_u64(&v, key)?.unwrap_or(0),
+                    _ => need_u64(&v, key)?,
+                };
+            }
+            Ok(Reply::Done(DoneStats {
+                jobs: need_u64(&v, "jobs")?,
+                from_cache: need_u64(&v, "from_cache")?,
+                computed: need_u64(&v, "computed")?,
+                encodes: need_u64(&v, "encodes")?,
+                tally,
+            }))
+        }
         other => Err(ProtocolError::Malformed(format!("unknown reply '{other}'"))),
     }
 }
@@ -1027,6 +1010,41 @@ mod tests {
             let decoded = decode_reply(&bytes).unwrap();
             assert_eq!(encode_reply(&decoded), bytes, "{reply:?}");
         }
+    }
+
+    #[test]
+    fn done_frames_encode_to_golden_bytes() {
+        // The pinned wire form: every counter distinct and nonzero, keys in
+        // this order.  The source frame lists them in reverse, so the test
+        // pins where decoding files each key as well as the encoder's order.
+        const GOLDEN: &str = concat!(
+            r#"{"reply":"done","jobs":1,"from_cache":2,"computed":3,"encodes":4,"#,
+            r#""witness_validations":5,"witness_mismatches":6,"retries":7,"#,
+            r#""degraded_runs":8,"panics":9,"cancelled":10,"proved":11,"#,
+            r#""proof_mismatches":12}"#
+        );
+        let reversed = r#"{"proof_mismatches":12,"proved":11,"cancelled":10,
+            "panics":9,"degraded_runs":8,"retries":7,"witness_mismatches":6,
+            "witness_validations":5,"encodes":4,"computed":3,"from_cache":2,
+            "jobs":1,"reply":"done"}"#;
+        let reply = decode_reply(reversed.as_bytes()).unwrap();
+        let Reply::Done(done) = &reply else {
+            panic!("done expected");
+        };
+        assert_eq!(
+            (done.jobs, done.from_cache, done.computed, done.encodes),
+            (1, 2, 3, 4)
+        );
+        assert_eq!(String::from_utf8(encode_reply(&reply)).unwrap(), GOLDEN);
+
+        // Frames from before the prover omit its two counters.
+        let legacy = GOLDEN.replace(r#","proved":11,"proof_mismatches":12"#, "");
+        let legacy = encode_reply(&decode_reply(legacy.as_bytes()).unwrap());
+        let zeroed = GOLDEN.replace(
+            r#""proved":11,"proof_mismatches":12"#,
+            r#""proved":0,"proof_mismatches":0"#,
+        );
+        assert_eq!(String::from_utf8(legacy).unwrap(), zeroed);
     }
 
     #[test]

@@ -211,12 +211,6 @@ struct Counters {
     busy_rejections: AtomicU64,
     protocol_errors: AtomicU64,
     cancelled_requests: AtomicU64,
-    encodes: AtomicU64,
-    witness_validations: AtomicU64,
-    witness_mismatches: AtomicU64,
-    retries: AtomicU64,
-    degraded_runs: AtomicU64,
-    panics: AtomicU64,
 }
 
 macro_rules! bump {
@@ -263,6 +257,9 @@ struct Shared {
     cache: ResultCache,
     recovery: RecoveryStats,
     counters: Counters,
+    /// The engine work of every ticket, summed: its encodes and outcome
+    /// tally feed the `stats` reply (reporting only, so a lock is fine).
+    computed: Mutex<DoneStats>,
     draining: AtomicBool,
     drain_cancel: CancelFlag,
     queue: Mutex<Option<SyncSender<Ticket>>>,
@@ -279,8 +276,9 @@ impl Shared {
     fn snapshot(&self) -> Value {
         let c = &self.counters;
         let get = |a: &AtomicU64| Value::UInt(a.load(Ordering::Relaxed));
+        let computed = *self.computed.lock().unwrap();
         Value::Object(
-            vec![
+            [
                 ("accepted", get(&c.accepted)),
                 ("requests", get(&c.requests)),
                 ("submits", get(&c.submits)),
@@ -290,12 +288,11 @@ impl Shared {
                 ("busy_rejections", get(&c.busy_rejections)),
                 ("protocol_errors", get(&c.protocol_errors)),
                 ("cancelled_requests", get(&c.cancelled_requests)),
-                ("encodes", get(&c.encodes)),
-                ("witness_validations", get(&c.witness_validations)),
-                ("witness_mismatches", get(&c.witness_mismatches)),
-                ("retries", get(&c.retries)),
-                ("degraded_runs", get(&c.degraded_runs)),
-                ("panics", get(&c.panics)),
+                ("encodes", Value::UInt(computed.encodes)),
+            ]
+            .into_iter()
+            .chain(computed.tally.counters().map(|(k, n)| (k, Value::UInt(n))))
+            .chain([
                 ("cache_entries", Value::UInt(self.cache.len() as u64)),
                 ("recovered_entries", Value::UInt(self.recovery.recovered)),
                 ("corrupted_entries", Value::UInt(self.recovery.corrupted)),
@@ -308,8 +305,7 @@ impl Shared {
                     Value::UInt(u64::from(self.recovery.clean_shutdown)),
                 ),
                 ("draining", Value::UInt(u64::from(self.draining()))),
-            ]
-            .into_iter()
+            ])
             .map(|(k, v)| (k.to_string(), v))
             .collect(),
         )
@@ -361,6 +357,7 @@ impl Server {
             cache,
             recovery,
             counters: Counters::default(),
+            computed: Mutex::default(),
             draining: AtomicBool::new(false),
             drain_cancel: CancelFlag::default(),
             queue: Mutex::new(Some(tx)),
@@ -762,14 +759,7 @@ fn run_ticket(shared: &Shared, ticket: Ticket) {
         computed.jobs += outcome.stats.entries;
         computed.computed += outcome.stats.entries;
         computed.encodes += outcome.stats.encodes;
-        computed.witness_validations += outcome.stats.witness_validations;
-        computed.witness_mismatches += outcome.stats.witness_mismatches;
-        computed.retries += outcome.stats.retries;
-        computed.degraded_runs += outcome.stats.degraded_runs;
-        computed.panics += outcome.stats.panics;
-        computed.cancelled += outcome.stats.cancelled;
-        computed.proved += outcome.stats.proved;
-        computed.proof_mismatches += outcome.stats.proof_mismatches;
+        computed.tally.absorb(&outcome.stats.tally);
     }
     // Per-entry jobs: everything not covered by the batched group.  One
     // engine run per entry keeps the crash-loss granularity at a single
@@ -800,25 +790,9 @@ fn run_ticket(shared: &Shared, ticket: Ticket) {
         computed.computed += 1;
         // Every attempt up the retry ladder builds its own encoding.
         computed.encodes += u64::from(outcome.reports[0].attempts);
-        computed.witness_validations += outcome.stats.witness_validations;
-        computed.witness_mismatches += outcome.stats.witness_mismatches;
-        computed.retries += outcome.stats.retries;
-        computed.degraded_runs += outcome.stats.degraded_runs;
-        computed.panics += outcome.stats.panics;
-        computed.cancelled += outcome.stats.cancelled;
-        computed.proved += u64::from(detection.proved);
-        computed.proof_mismatches += u64::from(detection.proof_checked == Some(false));
+        computed.tally.absorb(&outcome.stats.tally);
     }
-    let c = &shared.counters;
-    c.encodes.fetch_add(computed.encodes, Ordering::Relaxed);
-    c.witness_validations
-        .fetch_add(computed.witness_validations, Ordering::Relaxed);
-    c.witness_mismatches
-        .fetch_add(computed.witness_mismatches, Ordering::Relaxed);
-    c.retries.fetch_add(computed.retries, Ordering::Relaxed);
-    c.degraded_runs
-        .fetch_add(computed.degraded_runs, Ordering::Relaxed);
-    c.panics.fetch_add(computed.panics, Ordering::Relaxed);
+    shared.computed.lock().unwrap().absorb(&computed);
     let _ = ticket.replies.send(WorkerMsg::Finished(computed));
 }
 

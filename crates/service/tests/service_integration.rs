@@ -172,8 +172,8 @@ fn detection_streams_a_validated_witness_and_caches_it() {
         Some(true),
         "the concrete replay confirms the counterexample"
     );
-    assert!(cold.done.witness_validations >= 1);
-    assert_eq!(cold.done.witness_mismatches, 0);
+    assert!(cold.done.tally.witness_validations >= 1);
+    assert_eq!(cold.done.tally.witness_mismatches, 0);
 
     let hot = client.submit(&request).unwrap();
     assert_eq!(hot.done.from_cache, 1);
@@ -213,8 +213,11 @@ fn per_entry_retries_are_charged_one_encode_per_attempt() {
     };
     let out = server.client().submit(&request).unwrap();
     assert_eq!(out.done.computed, 1);
-    assert!(out.done.retries >= 1, "the budget stop must be retried");
-    assert_eq!(out.done.encodes, out.done.computed + out.done.retries);
+    assert!(
+        out.done.tally.retries >= 1,
+        "the budget stop must be retried"
+    );
+    assert_eq!(out.done.encodes, out.done.computed + out.done.tally.retries);
     server.stop();
 }
 
@@ -509,8 +512,14 @@ fn proved_verdicts_stream_cache_and_survive_kill_dash_nine() {
     assert!(v.proof_depth.is_some());
     assert_eq!(v.proof_checked, Some(true), "self-check rides the wire");
     assert!(!v.cached);
-    assert_eq!(cold.done.proved, 1);
-    assert_eq!(cold.done.proof_mismatches, 0);
+    assert_eq!(cold.done.tally.proved, 1);
+    assert_eq!(cold.done.tally.proof_mismatches, 0);
+    // The `stats` reply carries every counter a `Done` frame does.
+    let stats = client.stats().unwrap();
+    assert_eq!(Client::counter(&stats, "proved"), cold.done.tally.proved);
+    for key in ["cancelled", "proved", "proof_mismatches"] {
+        assert!(stats.get(key).is_some(), "stats lacks '{key}': {stats:?}");
+    }
 
     // Hot pass: the proof is conclusive, hence cached — and the stream is
     // bit-identical across repeats.

@@ -1,12 +1,13 @@
 //! The user-facing SMT solver: assertions in, SAT/UNSAT + model out.
 
 use std::collections::HashMap;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::bitblast::BitBlaster;
 use crate::cnf::Lit;
 use crate::concrete::{eval, Assignment};
-use crate::rewrite::{RewriteStats, Rewriter};
+use crate::incremental::SolverReuseStats;
+use crate::rewrite::{EncodeStats, Rewriter};
 use crate::sat::{CancelFlag, FaultHooks, SatSolver, SolveOutcome, StopReason};
 use crate::term::{TermId, TermManager};
 
@@ -73,29 +74,6 @@ impl Model {
     }
 }
 
-/// Statistics of the last [`Solver::check`] call.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SolverStats {
-    /// CNF variables created by bit-blasting.
-    pub cnf_vars: u64,
-    /// CNF clauses created by bit-blasting.
-    pub cnf_clauses: u64,
-    /// SAT conflicts.
-    pub conflicts: u64,
-    /// SAT decisions.
-    pub decisions: u64,
-    /// SAT propagations.
-    pub propagations: u64,
-    /// Word-level rewriting work of this check (all zero with
-    /// [`Solver::set_simplify`] off).
-    pub rewrite: RewriteStats,
-    /// Gate-level AIG work of this check: nodes created, strash hits,
-    /// constants folded, local rewrites, CNF vars/clauses emitted.
-    pub aig: crate::aig::AigStats,
-    /// Wall-clock time of the SAT search (rewriting and encoding excluded).
-    pub duration: Duration,
-}
-
 /// A quantifier-free bit-vector solver.
 ///
 /// Assert terms with [`assert_term`](Solver::assert_term), then call
@@ -113,7 +91,7 @@ pub struct Solver {
     fault: FaultHooks,
     stop_reason: Option<StopReason>,
     last_model: Option<Model>,
-    stats: SolverStats,
+    stats: SolverReuseStats,
     simplify: bool,
     aig: bool,
 }
@@ -136,7 +114,7 @@ impl Solver {
             fault: FaultHooks::default(),
             stop_reason: None,
             last_model: None,
-            stats: SolverStats::default(),
+            stats: SolverReuseStats::default(),
             simplify: true,
             aig: true,
         }
@@ -223,8 +201,12 @@ impl Solver {
         self.stop_reason
     }
 
-    /// Statistics of the most recent check.
-    pub fn stats(&self) -> SolverStats {
+    /// Statistics of the most recent check, as a one-check
+    /// [`SolverReuseStats`]: its encoding work (rewrite, AIG, CNF size) and
+    /// its SAT work (conflicts, propagations, search time).  The cache,
+    /// learnt-clause and `*_last_check` counters stay zero, so absorbing the
+    /// block into a run total adds exactly this check's work.
+    pub fn stats(&self) -> SolverReuseStats {
         self.stats
     }
 
@@ -261,15 +243,19 @@ impl Solver {
         let outcome = sat.solve();
         let search_time = search_start.elapsed();
         self.stop_reason = sat.stop_reason();
-        self.stats = SolverStats {
+        self.stats = SolverReuseStats {
+            checks: 1,
+            encode: EncodeStats {
+                rewrite: rewriter.as_ref().map(Rewriter::stats).unwrap_or_default(),
+                aig: aig_stats,
+                ..EncodeStats::default()
+            },
             cnf_vars,
             cnf_clauses,
             conflicts: sat.num_conflicts(),
-            decisions: sat.num_decisions(),
             propagations: sat.num_propagations(),
-            rewrite: rewriter.as_ref().map(Rewriter::stats).unwrap_or_default(),
-            aig: aig_stats,
             duration: search_time,
+            ..SolverReuseStats::default()
         };
         match outcome {
             SolveOutcome::Sat => {

@@ -263,7 +263,7 @@ fn aig_on_emits_fewer_clauses_on_shared_structure() {
             s.assert_term(tm, t);
         }
         assert_eq!(s.check(tm), SatResult::Sat);
-        s.stats()
+        s.stats().encode
     };
     let on = run(true, &mut tm);
     let off = run(false, &mut tm);

@@ -4,7 +4,6 @@ use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 use sepe_smt::concrete::{self, Assignment};
-use sepe_smt::solver::SolverStats;
 use sepe_smt::{
     CancelFlag, FaultHooks, IncrementalSolver, Model, SatResult, Solver, SolverReuseStats,
     StopReason, TermId, TermManager,
@@ -525,7 +524,7 @@ impl Bmc {
             self.stats.conflicts += solver.stats().conflicts;
             // A scratch solver re-encodes the whole prefix per depth; sum
             // the emissions so the sweep's total encoding cost is readable.
-            absorb_scratch_check(&mut self.stats.solver, &solver.stats());
+            self.stats.solver.absorb(&solver.stats());
             self.stats.deepest_bound = bound;
             self.stats.depths.push(DepthStats {
                 bound,
@@ -593,7 +592,7 @@ impl Bmc {
         self.stats.queries = 1;
         self.stats.conflicts = solver.stats().conflicts;
         self.stats.deepest_bound = max_bound;
-        absorb_scratch_check(&mut self.stats.solver, &solver.stats());
+        self.stats.solver.absorb(&solver.stats());
         self.stats.solver.encode.rewrite.coi_dropped_updates = coi_dropped;
         self.stats.depths.push(DepthStats {
             bound: max_bound,
@@ -755,21 +754,6 @@ pub(crate) fn extend_unrolling(
         }
     }
     out
-}
-
-/// Folds one scratch [`Solver::check`] into a run's solver block: its
-/// encoding work (rewrite, AIG, CNF) and its SAT work (one check, its
-/// conflicts, propagations and search time).  The learnt-clause counters
-/// stay zero: a scratch solver retains nothing between queries.
-fn absorb_scratch_check(into: &mut SolverReuseStats, check: &SolverStats) {
-    into.encode.rewrite.absorb(&check.rewrite);
-    into.encode.aig.absorb(&check.aig);
-    into.cnf_vars += check.cnf_vars;
-    into.cnf_clauses += check.cnf_clauses;
-    into.checks += 1;
-    into.conflicts += check.conflicts;
-    into.propagations += check.propagations;
-    into.duration += check.duration;
 }
 
 /// Total next-state updates dropped across the asserted frames at their
